@@ -52,15 +52,27 @@ echo "== benchmark smoke =="
 # change that breaks or pathologically slows them fails CI fast.
 go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel' -benchtime 1x ./internal/qp/ ./internal/fbp/
 
-echo "== bench regression gate =="
-# The committed Table-I baseline (cmd/fbpbench -table 1 -bench-out) must
-# not regress more than 10% wall clock against the PR 4 reference. A
-# session that regenerates the BENCH file with a slower transport or
-# realization path fails here; regenerate with
-#   go run ./cmd/fbpbench -table 1 -bench-out BENCH_pr9.json
-# on an otherwise idle machine before committing. See README
-# "Performance" and cmd/benchgate.
-go run ./cmd/benchgate -base BENCH_pr4.json -new BENCH_pr9.json -table 1 -max-regress 0.10
+echo "== benchmark smoke run =="
+# Runs the repo benchmark (BENCHMARK.json, perfbench/) once: the traced
+# per-layer run of the incremental workload places a movebound chip end
+# to end, untraced and traced. Its JSON result line must report a correct
+# placement and trace parity (the traced pipeline reproduces the untraced
+# result bit for bit). See perfbench/NOTES.md.
+benchline=$(bash perfbench/run.sh --workload incremental --seed 0 --trace 1 2>/dev/null)
+case "$benchline" in
+*'"correct":true'*) ;;
+*)
+	echo "benchmark smoke: placement not correct: $benchline" >&2
+	exit 1
+	;;
+esac
+case "$benchline" in
+*'"trace.parity":{"value":1,'*) ;;
+*)
+	echo "benchmark smoke: traced run diverged: $benchline" >&2
+	exit 1
+	;;
+esac
 
 echo "== fault injection suite =="
 # Robustness gate: arm every faultsim injection point and prove the

@@ -37,7 +37,9 @@ const (
 // DirName returns the compass name of a transit direction.
 func DirName(d int) string { return [...]string{"N", "E", "S", "W"}[d] }
 
-// Config tunes the partitioning.
+// Config tunes the partitioning. Every realization transportation runs
+// on transport.Solve, the condensed engine with its reference-engine
+// fallback; no option selects another engine.
 type Config struct {
 	// LocalQP enables the connectivity-aware local QP before each coarse
 	// window transportation (paper §IV.B). Default true via DefaultConfig.
@@ -75,13 +77,6 @@ type Config struct {
 	// PairPassMinWindows is the window-count threshold that activates the
 	// pair pass; 0 means 256 (grids of 16x16 and finer).
 	PairPassMinWindows int
-	// ParallelWindows unlocks the scheduling-dependent fast paths of the
-	// realization transport: speculative per-window splitting of block
-	// transportations with first-in-order merging, and cross-unit
-	// warm-start basis reuse from the per-worker scratch. Off by default:
-	// with the flag on, results remain capacity-feasible and within noise
-	// on quality, but are no longer bit-identical to the default mode.
-	ParallelWindows bool
 	// Check, when non-nil, certifies intermediate solver results: the MCF
 	// solution right after Solve and every realization transportation
 	// right after its engine returns. Failures propagate as the checker's
@@ -90,11 +85,6 @@ type Config struct {
 	// importing internal/certify so the dependency keeps pointing from the
 	// certifier at the solvers, never back.
 	Check Checker
-	// CondensedOnly disables the warm-startable network-simplex
-	// transportation rungs of the realization, keeping every block on the
-	// condensed/reference chain. Safe mode sets it so a repair run shares
-	// no engine state with the run that failed certification.
-	CondensedOnly bool
 }
 
 // Checker certifies intermediate solver results (implemented by

@@ -96,11 +96,6 @@ type Config struct {
 	// levels (many small windows) and forces the legacy 3x3-block
 	// transports everywhere. The pair pass is on by default.
 	NoPairPass bool
-	// ParallelWindows enables speculative per-window realization
-	// transports with a joint-feasibility merge. Faster on hotspot
-	// instances but scheduling-dependent: results are no longer
-	// bit-identical across worker counts. Off by default.
-	ParallelWindows bool
 	// SkipLegalization stops after global placement.
 	SkipLegalization bool
 	// KeepPlacement starts from the current cell positions instead of a
@@ -140,10 +135,19 @@ type Config struct {
 	// certification again propagates the *certify.Error to the caller.
 	Certify CertifyMode
 	// SafeMode forces the conservative engine set everywhere: no pair
-	// pass, no parallel windows, condensed-only transportation rungs,
-	// sequential workers. Repair runs set it; callers may too, to
-	// reproduce exactly what a repair would compute.
+	// pass, one worker. Repair runs set it through SafeConfig; callers
+	// may too, to reproduce exactly what a repair would compute.
 	SafeMode bool
+}
+
+// SafeConfig returns cfg as a certify repair re-runs it: SafeMode on,
+// one worker, no checkpointing and no preemption.
+func SafeConfig(cfg Config) Config {
+	cfg.SafeMode = true
+	cfg.Workers = 1
+	cfg.Checkpoint = Checkpoint{}
+	cfg.Preempt = nil
+	return cfg
 }
 
 func (c *Config) fill() {
@@ -300,14 +304,7 @@ func run(ctx context.Context, n *netlist.Netlist, cfg Config, resumeDir string) 
 			cfg.Obs.Count("certify.repair", 1)
 			copy(n.X, entryX)
 			copy(n.Y, entryY)
-			safe := cfg
-			safe.SafeMode = true
-			safe.NoPairPass = true
-			safe.ParallelWindows = false
-			safe.Workers = 1
-			safe.Checkpoint = Checkpoint{}
-			safe.Preempt = nil
-			rep, err = runOnce(ctx, n, safe, "", dl)
+			rep, err = runOnce(ctx, n, SafeConfig(cfg), "", dl)
 			if err != nil && errors.As(err, &ce) {
 				cfg.Obs.Count("certify.fail", 1)
 			}
@@ -596,15 +593,13 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 			}
 		default:
 			fcfg := fbp.Config{
-				LocalQP:         !cfg.NoLocalQP,
-				PairPass:        !cfg.NoPairPass && !cfg.SafeMode,
-				ParallelWindows: cfg.ParallelWindows && !cfg.SafeMode,
-				CondensedOnly:   cfg.SafeMode,
-				QP:              cfg.QP,
-				Workers:         cfg.Workers,
-				Obs:             cfg.Obs,
-				Ctx:             ctx,
-				Degrade:         dl,
+				LocalQP:  !cfg.NoLocalQP,
+				PairPass: !cfg.NoPairPass && !cfg.SafeMode,
+				QP:       cfg.QP,
+				Workers:  cfg.Workers,
+				Obs:      cfg.Obs,
+				Ctx:      ctx,
+				Degrade:  dl,
 			}
 			var checker *certify.Checker
 			if cfg.Certify == CertifyEveryLevel {
@@ -642,8 +637,6 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 				copy(n.Y, lvlY)
 				safe := fcfg
 				safe.PairPass = false
-				safe.ParallelWindows = false
-				safe.CondensedOnly = true
 				safe.Workers = 1
 				res, err = partition(safe)
 			}

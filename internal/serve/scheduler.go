@@ -749,15 +749,8 @@ func (s *Scheduler) safeRetry(ctx context.Context, j *Job, cfg placer.Config, ce
 	s.quarantine(j, ce)
 	s.dl.Add("certify", "serve-safe-mode", fmt.Sprintf("job %s: %s", j.ID, ce.Error()))
 	s.rec.Count("certify.repair", 1)
-	safe := cfg
-	safe.SafeMode = true
-	safe.NoPairPass = true
-	safe.ParallelWindows = false
-	safe.Workers = 1
-	safe.Checkpoint = placer.Checkpoint{}
-	safe.Preempt = nil
 	j.restoreStart()
-	rep, err := placer.PlaceCtx(ctx, j.n, safe)
+	rep, err := placer.PlaceCtx(ctx, j.n, placer.SafeConfig(cfg))
 	if err == nil {
 		err = s.certifyResult(ctx, j, rep)
 	}

@@ -1,11 +1,18 @@
 package transport
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fbplace/internal/degrade"
+	"fbplace/internal/faultsim"
+	"fbplace/internal/flow"
+	"fbplace/internal/obs"
 )
 
 func TestSolveSingleSourceSingleSink(t *testing.T) {
@@ -32,10 +39,6 @@ func engines() map[string]func(*Problem) (*Solution, error) {
 	return map[string]func(*Problem) (*Solution, error){
 		"reference": SolveReference,
 		"condensed": Solve,
-		"ns": func(p *Problem) (*Solution, error) {
-			sol, _, err := SolveNS(p, nil)
-			return sol, err
-		},
 	}
 }
 
@@ -188,21 +191,85 @@ func randomProblem(rng *rand.Rand) *Problem {
 	return p
 }
 
-// Property: the condensed engine matches the reference engine's optimal
-// cost on random instances.
-func TestCondensedMatchesReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomProblem(rng)
-		ref, err1 := SolveReference(p)
-		got, err2 := Solve(p)
-		if err1 != nil || err2 != nil {
-			return err1 != nil && err2 != nil // both must agree on feasibility
-		}
-		return math.Abs(ref.Cost-got.Cost) < 1e-6*(1+math.Abs(ref.Cost))
+// placementProblem builds a realization-shaped instance: a few hundred to
+// about a thousand cells shipping integer areas to up to 32 region sinks
+// at L1 distance. Half the cells sit in co-located clumps, so many sources
+// share identical cost rows (tie-heavy), total capacity exceeds total
+// supply by 0-10%, and about a quarter of the arcs to sinks other than
+// sink 0 are inadmissible, as under movebounds.
+func placementProblem(rng *rand.Rand) *Problem {
+	n := 100 + rng.Intn(900)
+	k := 4 + rng.Intn(29)
+	const side = 100
+	type point struct{ x, y float64 }
+	randPoint := func() point { return point{float64(rng.Intn(side)), float64(rng.Intn(side))} }
+	sinks := make([]point, k)
+	for j := range sinks {
+		sinks[j] = randPoint()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	clumps := make([]point, 1+rng.Intn(8))
+	for c := range clumps {
+		clumps[c] = randPoint()
+	}
+	p := &Problem{
+		Supply:   make([]float64, n),
+		Capacity: make([]float64, k),
+		Arcs:     make([][]Arc, n),
+	}
+	total := 0.0
+	for i := range p.Supply {
+		p.Supply[i] = float64(1 + rng.Intn(4))
+		total += p.Supply[i]
+		at := randPoint()
+		if i%2 == 0 {
+			at = clumps[rng.Intn(len(clumps))]
+		}
+		for j, s := range sinks {
+			if j > 0 && rng.Intn(4) == 0 {
+				continue
+			}
+			p.Arcs[i] = append(p.Arcs[i], Arc{Sink: j, Cost: math.Abs(at.x-s.x) + math.Abs(at.y-s.y)})
+		}
+	}
+	weights := make([]float64, k)
+	sum := 0.0
+	for j := range weights {
+		weights[j] = 0.5 + rng.Float64()
+		sum += weights[j]
+	}
+	capTotal := total * (1 + 0.1*rng.Float64())
+	for j, w := range weights {
+		p.Capacity[j] = capTotal * w / sum
+	}
+	return p
+}
+
+// Property: the condensed engine matches the reference engine's optimal
+// cost, and agrees with it on feasibility, on small random instances and
+// on placement-shaped ones.
+func TestCondensedMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		gen   func(*rand.Rand) *Problem
+		count int
+	}{
+		{"random", randomProblem, 200},
+		{"placement", placementProblem, 60},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				p := tc.gen(rand.New(rand.NewSource(seed)))
+				ref, err1 := SolveReference(p)
+				got, err2 := Solve(p)
+				if err1 != nil || err2 != nil {
+					return err1 != nil && err2 != nil // both must agree on feasibility
+				}
+				return math.Abs(ref.Cost-got.Cost) < 1e-6*(1+math.Abs(ref.Cost))
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: tc.count}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -262,6 +329,117 @@ func TestRoundedMajority(t *testing.T) {
 	got := sol.Rounded()
 	if got[0] != 2 || got[1] != 0 || got[2] != -1 {
 		t.Fatalf("Rounded = %v", got)
+	}
+}
+
+// assertSolutionsEquivalent fails unless the two solutions agree on cost,
+// per-source totals and capacity feasibility (portion sets may differ
+// between optima with ties, so only aggregate invariants are compared).
+func assertSolutionsEquivalent(t *testing.T, p *Problem, got, want *Solution) {
+	t.Helper()
+	if math.Abs(got.Cost-want.Cost) > 1e-6*(1+math.Abs(want.Cost)) {
+		t.Fatalf("cost %v, want %v", got.Cost, want.Cost)
+	}
+	loads := make([]float64, p.NumSinks())
+	for i, ps := range got.Assign {
+		sum := 0.0
+		for _, pr := range ps {
+			sum += pr.Amount
+			loads[pr.Sink] += pr.Amount
+		}
+		if math.Abs(sum-p.Supply[i]) > 1e-6 {
+			t.Fatalf("source %d ships %v, supply %v", i, sum, p.Supply[i])
+		}
+	}
+	for j, l := range loads {
+		if l > p.Capacity[j]+1e-6 {
+			t.Fatalf("sink %d load %v > capacity %v", j, l, p.Capacity[j])
+		}
+	}
+	if got.NumSplit() > p.NumSinks()-1 {
+		t.Fatalf("NumSplit = %d > k-1 = %d", got.NumSplit(), p.NumSinks()-1)
+	}
+}
+
+// Satellite: a faultsim-armed condensed failure must fall back to the
+// reference engine with a correct Solution (portions, NumSplit) and a
+// degrade counter bump.
+func TestCondensedFallbackFaultsim(t *testing.T) {
+	defer faultsim.Reset()
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 20; trial++ {
+		p := randomProblem(rng)
+		want, err := SolveReference(p)
+		if err != nil {
+			continue
+		}
+		if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.New(nil)
+		p.Obs = rec
+		p.Degrade = degrade.New(rec)
+		got, err := Solve(p)
+		faultsim.Disarm("transport.condensed.fail")
+		if err != nil {
+			t.Fatalf("trial %d: fallback did not rescue the solve: %v", trial, err)
+		}
+		assertSolutionsEquivalent(t, p, got, want)
+		if got := rec.Counter("degrade.transport.condensed"); got != 1 {
+			t.Fatalf("trial %d: degrade.transport.condensed = %v, want 1", trial, got)
+		}
+		if p.Degrade.Len() != 1 {
+			t.Fatalf("trial %d: degrade log has %d events, want 1", trial, p.Degrade.Len())
+		}
+		ev := p.Degrade.Events()[0]
+		if ev.Stage != "transport.condensed" || ev.Fallback != "reference-engine" {
+			t.Fatalf("trial %d: degrade event %+v", trial, ev)
+		}
+	}
+}
+
+// Satellite: fallbackWorthy must treat a solver stall as an engine
+// failure (retry on the reference path) but never retry infeasibility
+// certificates or context aborts.
+func TestFallbackWorthySyntheticStall(t *testing.T) {
+	stall := fmt.Errorf("transport: condensed engine: %w", &flow.ErrStalled{Pivots: 12345})
+	if !fallbackWorthy(stall) {
+		t.Fatal("a stall must be fallback-worthy")
+	}
+	if !fallbackWorthy(errors.New("transport: degenerate augmentation (move 0)")) {
+		t.Fatal("an internal engine defect must be fallback-worthy")
+	}
+	if fallbackWorthy(fmt.Errorf("%w: 3 unrouted", ErrInfeasible)) {
+		t.Fatal("infeasibility must not be retried")
+	}
+	if fallbackWorthy(context.Canceled) || fallbackWorthy(context.DeadlineExceeded) {
+		t.Fatal("context aborts must not be retried")
+	}
+}
+
+// Satellite: when both engines are armed to fail, the chain exhausts and
+// the caller receives the reference engine's structured error, with the
+// degrade event still recorded.
+func TestCondensedFallbackChainExhausted(t *testing.T) {
+	defer faultsim.Reset()
+	if err := faultsim.Arm("transport.condensed.fail", faultsim.Schedule{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultsim.Arm("transport.reference.fail", faultsim.Schedule{}); err != nil {
+		t.Fatal(err)
+	}
+	p := &Problem{
+		Supply:   []float64{1},
+		Capacity: []float64{2},
+		Arcs:     [][]Arc{{{Sink: 0, Cost: 1}}},
+		Degrade:  degrade.New(nil),
+	}
+	_, err := Solve(p)
+	if !errors.Is(err, faultsim.ErrInjected) {
+		t.Fatalf("err = %v, want injected", err)
+	}
+	if p.Degrade.Len() != 1 {
+		t.Fatalf("degrade log has %d events, want 1", p.Degrade.Len())
 	}
 }
 
