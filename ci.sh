@@ -53,26 +53,30 @@ echo "== benchmark smoke =="
 go test -timeout 10m -run '^$' -bench 'BenchmarkSolveSubsetBlock|BenchmarkRealizeLevel' -benchtime 1x ./internal/qp/ ./internal/fbp/
 
 echo "== benchmark smoke run =="
-# Runs the repo benchmark (BENCHMARK.json, perfbench/) once: the traced
-# per-layer run of the incremental workload places a movebound chip end
-# to end, untraced and traced. Its JSON result line must report a correct
-# placement and trace parity (the traced pipeline reproduces the untraced
-# result bit for bit). See perfbench/NOTES.md.
-benchline=$(bash perfbench/run.sh --workload incremental --seed 0 --trace 1 2>/dev/null)
-case "$benchline" in
-*'"correct":true'*) ;;
-*)
-	echo "benchmark smoke: placement not correct: $benchline" >&2
-	exit 1
-	;;
-esac
-case "$benchline" in
-*'"trace.parity":{"value":1,'*) ;;
-*)
-	echo "benchmark smoke: traced run diverged: $benchline" >&2
-	exit 1
-	;;
-esac
+# Runs the repo benchmark (BENCHMARK.json, perfbench/) once per workload:
+# the traced per-layer run places the chip end to end, untraced and
+# traced. incremental is a movebound chip dominated by the global MCF;
+# flat is a 20k-cell chip dominated by realization transports. Each JSON
+# result line must report a correct placement and trace parity (the traced
+# pipeline reproduces the untraced result bit for bit). See
+# perfbench/NOTES.md.
+for workload in incremental flat; do
+	benchline=$(bash perfbench/run.sh --workload "$workload" --seed 0 --trace 1 2>/dev/null)
+	case "$benchline" in
+	*'"correct":true'*) ;;
+	*)
+		echo "benchmark smoke ($workload): placement not correct: $benchline" >&2
+		exit 1
+		;;
+	esac
+	case "$benchline" in
+	*'"trace.parity":{"value":1,'*) ;;
+	*)
+		echo "benchmark smoke ($workload): traced run diverged: $benchline" >&2
+		exit 1
+		;;
+	esac
+done
 
 echo "== fault injection suite =="
 # Robustness gate: arm every faultsim injection point and prove the

@@ -185,9 +185,9 @@ func (c *Checker) Flow(g *flow.MinCostFlow) error {
 // Transport certifies a transportation solution against its instance:
 // every source ships exactly its supply (row conservation), every sink
 // stays within the capacity the instance was solved with (column
-// feasibility), and portions ride admissible arcs only. Counters, not
-// spans: the check runs once per realization transportation, from
-// concurrent workers.
+// feasibility), portions ride admissible arcs only, and no cheaper plan
+// exists (optimality). Counters, not spans: the check runs once per
+// realization transportation, from concurrent workers.
 func (c *Checker) Transport(p *transport.Problem, sol *transport.Solution) error {
 	if c.Obs != nil {
 		c.Obs.Count("certify.transport", 1)
@@ -232,7 +232,101 @@ func (c *Checker) Transport(p *transport.Problem, sol *transport.Solution) error
 				"sink %d loaded %g over capacity %g", j, l, p.Capacity[j]))
 		}
 	}
-	return nil
+	return c.transportOptimal(p, sol, load)
+}
+
+// transportOptimal certifies that no cheaper plan exists, from the instance
+// and the plan alone. Its residual graph, condensed to the k sinks, has an
+// edge a->b weighing the cheapest reassignment c(i,b) - c(i,a) of any
+// source i with a portion at a. A super-sink T = k is reached at weight 0
+// from every sink with slack and reaches every loaded sink at weight 0. The
+// plan is optimal iff no cycle is negative; a negative cycle through T is a
+// negative path from a loaded sink into one with slack. Bellman-Ford over
+// the k+1 nodes finds such a cycle when relaxations go on past k rounds.
+func (c *Checker) transportOptimal(p *transport.Problem, sol *transport.Solution, load []float64) error {
+	k := len(p.Capacity)
+	t, inf := k, math.Inf(1)
+	w := make([]float64, (k+1)*(k+1)) // w[a*(k+1)+b], +Inf = no edge
+	for e := range w {
+		w[e] = inf
+	}
+	cost := make([]float64, k) // the current source's cheapest arc per sink
+	for j := range cost {
+		cost[j] = inf
+	}
+	for i, ps := range sol.Assign {
+		if err := c.poll(i); err != nil {
+			return err
+		}
+		for _, arc := range p.Arcs[i] {
+			cost[arc.Sink] = math.Min(cost[arc.Sink], arc.Cost)
+		}
+		for _, portion := range ps {
+			if a := portion.Sink; portion.Amount > flow.Eps {
+				for _, arc := range p.Arcs[i] {
+					if b := arc.Sink; b != a {
+						w[a*(k+1)+b] = math.Min(w[a*(k+1)+b], cost[b]-cost[a])
+					}
+				}
+			}
+		}
+		for _, arc := range p.Arcs[i] {
+			cost[arc.Sink] = inf
+		}
+	}
+	for j, l := range load {
+		if tol := 1e-6 * math.Max(1, p.Capacity[j]); p.Capacity[j]-l > tol {
+			w[j*(k+1)+t] = 0
+		}
+		if l > flow.Eps {
+			w[t*(k+1)+j] = 0
+		}
+	}
+	// Bellman-Ford from a virtual root at distance 0 to every node. An
+	// improvement counts only beyond a tolerance relative to the edge
+	// weight, so rounding in the plan's costs is no violation.
+	dist := make([]float64, k+1)
+	pred := make([]int, k+1)
+	for j := range pred {
+		pred[j] = -1
+	}
+	for round := 0; ; round++ {
+		last := -1
+		for a := 0; a <= k; a++ {
+			for b := 0; b <= k; b++ {
+				x := w[a*(k+1)+b]
+				if d := dist[a] + x; d < dist[b]-1e-6*math.Max(1, math.Abs(x)) {
+					dist[b], pred[b], last = d, a, b
+				}
+			}
+		}
+		if last < 0 {
+			return nil
+		}
+		if round < k+1 {
+			continue
+		}
+		// Still relaxing: walking predecessors from last reaches a cycle.
+		for step := 0; step <= k && pred[last] >= 0; step++ {
+			last = pred[last]
+		}
+		name := func(j int) string {
+			if j == t {
+				return "T"
+			}
+			return fmt.Sprint(j)
+		}
+		cycle, weight := name(last), 0.0
+		for j := last; pred[j] >= 0; {
+			weight += w[pred[j]*(k+1)+j]
+			if j = pred[j]; j == last {
+				break
+			}
+			cycle = name(j) + "->" + cycle
+		}
+		return c.fail("transport", "optimality", fmt.Sprintf(
+			"residual cycle %s->%s of weight %g: a cheaper plan exists", name(last), cycle, weight))
+	}
 }
 
 // Partition certifies a realized partitioning: every movable cell holds a

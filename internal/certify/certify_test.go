@@ -185,6 +185,18 @@ func TestTransportViolations(t *testing.T) {
 		{"sink over capacity", transportWitness(func(p *transport.Problem, sol *transport.Solution) {
 			p.Capacity[sol.Assign[0][0].Sink] = 0
 		}), "transport", "column-feasibility"},
+		// The optimum ships source 0 to sink 0, source 1 to sink 1 and
+		// source 2 to sink 2 at cost 6. The two plans below are feasible
+		// but cost more.
+		{"cheaper plan by a reassignment cycle", transportWitness(func(_ *transport.Problem, sol *transport.Solution) {
+			// Sources 1 and 2 trade places across sinks 1 and 2 (cost 10).
+			sol.Assign[1] = []transport.Portion{{Sink: 2, Amount: 1}}
+			sol.Assign[2] = []transport.Portion{{Sink: 2, Amount: 2}, {Sink: 1, Amount: 1}}
+		}), "transport", "optimality"},
+		{"cheaper sink with slack", transportWitness(func(_ *transport.Problem, sol *transport.Solution) {
+			// Half of source 0 moves to sink 1 while sink 0 keeps slack (cost 8).
+			sol.Assign[0] = []transport.Portion{{Sink: 0, Amount: 1}, {Sink: 1, Amount: 1}}
+		}), "transport", "optimality"},
 	})
 }
 

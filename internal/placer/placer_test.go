@@ -215,18 +215,22 @@ func TestPlaceDeterministicAcrossWorkers(t *testing.T) {
 		{Kind: region.Inclusive, CellFraction: 0.15, Density: 0.7, NestedIn: -1},
 		{Kind: region.Inclusive, CellFraction: 0.10, Density: 0.7, NestedIn: -1, Overlap: true},
 	}
-	run := func(workers int) (*Report, *netlist.Netlist) {
+	run := func(workers int) (*Report, *netlist.Netlist, float64) {
 		inst := smallChip(t, 2500, 42, mbs)
-		rep, err := Place(inst.N, Config{Movebounds: inst.Movebounds, Workers: workers})
+		rec := obs.New(nil)
+		rep, err := Place(inst.N, Config{Movebounds: inst.Movebounds, Workers: workers, Obs: rec})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return rep, inst.N
+		return rep, inst.N, rec.Counter("transport.augments")
 	}
-	rep1, n1 := run(1)
-	rep4, n4 := run(4)
+	rep1, n1, aug1 := run(1)
+	rep4, n4, aug4 := run(4)
 	if rep1.HPWL != rep4.HPWL {
 		t.Fatalf("HPWL differs across worker counts: 1 worker %.6f, 4 workers %.6f", rep1.HPWL, rep4.HPWL)
+	}
+	if aug1 != aug4 || aug1 <= 0 {
+		t.Fatalf("transport.augments differs across worker counts: 1 worker %g, 4 workers %g", aug1, aug4)
 	}
 	for i := range n1.Cells {
 		p1, p4 := n1.Pos(netlist.CellID(i)), n4.Pos(netlist.CellID(i))
@@ -247,7 +251,7 @@ func TestPlaceRecordsObservability(t *testing.T) {
 	if rep.QPSolves == 0 || rep.CGIters == 0 {
 		t.Fatalf("QP effort not reported: solves=%d iters=%d", rep.QPSolves, rep.CGIters)
 	}
-	for _, c := range []string{"cg.iters", "ns.pivots", "transport.solves", "fbp.waves", "legalize.cells"} {
+	for _, c := range []string{"cg.iters", "ns.pivots", "transport.solves", "transport.augments", "fbp.waves", "legalize.cells"} {
 		if rec.Counter(c) <= 0 {
 			t.Errorf("counter %q not recorded (got %g)", c, rec.Counter(c))
 		}

@@ -25,21 +25,22 @@ type Estimate struct {
 }
 
 // Calibration, measured on gen.Chip instances (the LoadMix size ladder),
-// single placement worker, linux/amd64:
+// single placement worker, linux/amd64 (2-vCPU Xeon VM); wall is the median
+// of three runs (two at 20000 cells):
 //
 //	cells   pins    levels  wall     steady live heap
-//	300     1058    2       14ms     ~3.0 MB
-//	1200    4017    3       171ms    ~3.4 MB
-//	5000    15925   4       2.0s     ~6.0 MB
-//	20000   62667   5       19.7s    ~19.1 MB
+//	300     1058    2       12ms     ~3.0 MB
+//	1200    4017    3       157ms    ~3.4 MB
+//	5000    15925   4       0.79s    ~6.0 MB
+//	20000   62667   5       4.4s     ~19.1 MB
 //
 // Peak memory is modeled as base + per-cell + per-pin, sized about 3x the
 // measured steady live heap: the QP/flow phases churn transient slices and
 // the process must absorb the allocation spike between GC cycles, so the
 // admission price is deliberately the conservative envelope, not the
-// average. Wall time is a per-(cell x level) cost that grows with instance
-// size (the conjugate-gradient solves are superlinear), interpolated
-// between the measured points on a log(cells) axis.
+// average. Wall time is a per-(cell x level) cost, interpolated between
+// the measured points on a log(cells) axis. It roughly doubles from 300 to
+// 1200 cells and stays about flat above.
 const (
 	estBaseBytes    = 4 << 20
 	estBytesPerCell = 2048
@@ -51,10 +52,10 @@ var wallCalib = []struct {
 	cells float64
 	us    float64
 }{
-	{300, 22.6},
-	{1200, 47.4},
-	{5000, 101.4},
-	{20000, 197.0},
+	{300, 19.8},
+	{1200, 43.7},
+	{5000, 39.4},
+	{20000, 43.8},
 }
 
 // usPerCellLevel interpolates the calibration table piecewise-linearly in

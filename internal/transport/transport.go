@@ -9,14 +9,15 @@
 //   - Reference: successive shortest paths on the full bipartite network
 //     (flow.MinCostFlow). Exact, simple, used for small instances and as
 //     the test oracle.
-//   - Condensed: the production engine. It starts from the optimal
-//     pseudoflow that sends every source to its cheapest admissible sink
-//     and then cancels sink overloads along shortest paths in a condensed
-//     graph whose nodes are the sinks only. Each condensed arc a->b is the
-//     cheapest reassignment of any source currently in a to b. This keeps
-//     shortest-path computations at O(k^2) for k sinks regardless of the
-//     number of cells, mirroring the role of Brenner's fast transportation
-//     algorithm [4] in BonnPlace.
+//   - Condensed: the production engine, Brenner's fast transportation
+//     algorithm [4]. It starts from the optimal pseudoflow that sends every
+//     source to its cheapest admissible sink and then cancels sink
+//     overloads along shortest paths in a condensed graph whose nodes are
+//     the sinks only. Each condensed arc a->b is the cheapest reassignment
+//     of any source currently at a to b, kept in a lazily deleted heap per
+//     sink pair. Dijkstra on weights reduced by sink potentials finds each
+//     path, so an augmentation costs O(k^2 + moved sources * log n) for k
+//     sinks, independent of the number of cells.
 //
 // Solutions are fractional in general but almost integral: at most k-1
 // sources are split (a vertex of the transportation polytope). Rounded()
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fbplace/internal/degrade"
@@ -62,7 +64,8 @@ type Problem struct {
 	Capacity []float64 // per sink, >= 0
 	Arcs     [][]Arc   // Arcs[i] lists admissible sinks of source i
 	// Obs, when non-nil, records the counters "transport.solves",
-	// "transport.sources" and "transport.splits" per Solve call.
+	// "transport.sources", "transport.augments" (condensed-engine
+	// augmentations) and "transport.splits" per Solve call.
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled during the solve; a canceled or expired
 	// context aborts with the context's error (no fallback: cancellation
@@ -191,7 +194,7 @@ func sortPortions(ps []Portion) {
 // engine. The fallback is recorded on p.Degrade (and as an obs counter via
 // the log), so a degraded run is attributable, never silent.
 func Solve(p *Problem) (*Solution, error) {
-	sol, err := solveCondensed(p)
+	sol, augments, err := solveCondensed(p)
 	if err != nil && fallbackWorthy(err) {
 		p.Degrade.Add("transport.condensed", "reference-engine", err.Error())
 		sol, err = SolveReference(p)
@@ -199,6 +202,7 @@ func Solve(p *Problem) (*Solution, error) {
 	if p.Obs != nil {
 		p.Obs.Count("transport.solves", 1)
 		p.Obs.Count("transport.sources", float64(p.NumSources()))
+		p.Obs.Count("transport.augments", float64(augments))
 		if err == nil {
 			p.Obs.Count("transport.splits", float64(sol.NumSplit()))
 		}
@@ -217,207 +221,221 @@ func fallbackWorthy(err error) bool {
 		!errors.Is(err, context.DeadlineExceeded)
 }
 
-// presence tracks how much of source i currently sits at sink j, together
-// with the source's cost at that sink (cached to keep the hot path free of
-// map lookups).
+// presence records how much of a source currently sits at a sink, and the
+// stamp that tells this presence apart from earlier ones of the same source
+// at the same sink.
 type presence struct {
 	source int
 	amount float64
-	cost   float64
+	stamp  uint32
 }
 
-// condEdge is one condensed-graph edge candidate: reassigning `source`
-// from the owning sink to the target sink costs w.
-type condEdge struct {
+// pairEntry offers reassigning source from the heap's first sink a to its
+// second sink b at weight w = c(source, b) - c(source, a). It is valid while
+// the presence with this stamp still sits at a.
+type pairEntry struct {
 	w      float64
-	source int // -1 = absent
+	source int32
+	stamp  uint32
 }
 
-// pairState caches the best and second-best candidates for one (from, to)
-// sink pair, maintained incrementally as presences change. `stale` forces
-// a full recompute of the pair on next access.
-type pairState struct {
-	best, second condEdge
-	stale        bool
-}
-
-// condensed holds the solver state: presences per sink and a (k x k)
-// matrix of candidate edges maintained incrementally, so an augmentation
-// costs O(path * (k + recomputed pairs)) instead of O(n * k).
-type condensed struct {
-	k      int
-	arcsOf [][]Arc
-	// costOf is a dense n x k matrix of arc costs (+Inf = inadmissible);
-	// dense storage keeps the hot recompute loops free of map lookups.
-	costOf []float64
-	at     [][]presence
-	load   []float64
-	pairs  [][]pairState // pairs[a][b]
-}
-
-func better(x, y condEdge) bool {
-	if y.source < 0 {
-		return x.source >= 0
-	}
-	if x.source < 0 {
-		return false
-	}
-	//fbpvet:floatok exact tie-break on stored weights keeps the sort total
+func (x pairEntry) less(y pairEntry) bool {
+	//fbpvet:floatok exact tie-break on stored weights keeps the order total
 	if x.w != y.w {
 		return x.w < y.w
 	}
 	return x.source < y.source
 }
 
-// offer inserts a candidate into the pair's best/second slots.
-func (p *pairState) offer(e condEdge) {
-	if p.best.source == e.source {
-		// Same source re-offered (cost unchanged); nothing to do.
+// pairHeap is a lazily deleted binary min-heap of the entries of one sink
+// pair, ordered by (w, source). It is filled from the presences the first
+// time the pair is read; from then on new presences push into it.
+type pairHeap struct {
+	e     []pairEntry
+	built bool
+}
+
+func (h *pairHeap) push(e pairEntry) {
+	h.e = append(h.e, e)
+	for i := len(h.e) - 1; i > 0 && h.e[i].less(h.e[(i-1)/2]); i = (i - 1) / 2 {
+		h.e[i], h.e[(i-1)/2] = h.e[(i-1)/2], h.e[i]
+	}
+}
+
+func (h *pairHeap) pop() pairEntry {
+	top, last := h.e[0], len(h.e)-1
+	h.e[0] = h.e[last]
+	h.e = h.e[:last]
+	h.down(0)
+	return top
+}
+
+func (h *pairHeap) down(i int) {
+	for {
+		m := i
+		for _, ch := range [2]int{2*i + 1, 2*i + 2} {
+			if ch < len(h.e) && h.e[ch].less(h.e[m]) {
+				m = ch
+			}
+		}
+		if m == i {
+			return
+		}
+		h.e[i], h.e[m] = h.e[m], h.e[i]
+		i = m
+	}
+}
+
+// viaEdge is the shortest-path predecessor of a sink: the sink it is
+// reached from and the (unreduced) weight of that condensed edge.
+type viaEdge struct {
+	from int
+	w    float64
+}
+
+// condensed holds the solver state: presences per sink with an O(1) slot
+// index, one pair heap per ordered sink pair, sink potentials, and the
+// shortest-path scratch reused across augmentations.
+type condensed struct {
+	n, k int
+	// costOf is a dense n x k matrix of arc costs (+Inf = inadmissible);
+	// dense storage keeps the hot loops free of map lookups.
+	costOf []float64
+	at     [][]presence
+	slot   []int32 // slot[j*n+i] indexes source i in at[j], -1 = absent
+	load   []float64
+	heaps  []pairHeap // heaps[a*k+b]
+	stamps uint32
+	pi     []float64 // sink potentials; pi[k] is the super-sink's
+	dist   []float64
+	done   []bool
+	via    []viaEdge
+	path   []int
+	groups []tiedGroup
+}
+
+// tiedGroup holds the popped entries of one path edge that tie its weight,
+// and the amount they hold.
+type tiedGroup struct {
+	e     []pairEntry
+	total float64
+}
+
+// valid reports whether e still describes a presence at sink a.
+func (c *condensed) valid(a int, e pairEntry) bool {
+	s := c.slot[a*c.n+int(e.source)]
+	return s >= 0 && c.at[a][s].stamp == e.stamp
+}
+
+// edge returns the cheapest valid reassignment from sink a to sink b,
+// building the pair heap on first use.
+func (c *condensed) edge(a, b int) (pairEntry, bool) {
+	h := &c.heaps[a*c.k+b]
+	if !h.built {
+		h.built = true
+		for _, pr := range c.at[a] {
+			if row := c.costOf[pr.source*c.k:]; !math.IsInf(row[b], 1) {
+				h.e = append(h.e, pairEntry{w: row[b] - row[a], source: int32(pr.source), stamp: pr.stamp})
+			}
+		}
+		for i := len(h.e)/2 - 1; i >= 0; i-- {
+			h.down(i)
+		}
+	}
+	for len(h.e) > 0 && !c.valid(a, h.e[0]) {
+		h.pop()
+	}
+	if len(h.e) == 0 {
+		return pairEntry{}, false
+	}
+	return h.e[0], true
+}
+
+// add puts amt of src onto sink j. A new presence is offered to the built
+// heaps of the pairs leaving j.
+func (c *condensed) add(j, src int, amt float64) {
+	if s := c.slot[j*c.n+src]; s >= 0 {
+		c.at[j][s].amount += amt
 		return
 	}
-	if better(e, p.best) {
-		p.second = p.best
-		p.best = e
-	} else if p.second.source != e.source && better(e, p.second) {
-		p.second = e
-	}
-}
-
-// onAdd records a new presence of src at sink a.
-func (c *condensed) onAdd(a, src int, costA float64) {
-	for _, arc := range c.arcsOf[src] {
-		if arc.Sink == a {
-			continue
-		}
-		c.pairs[a][arc.Sink].offer(condEdge{w: arc.Cost - costA, source: src})
-	}
-}
-
-// onRemove records the full removal of src from sink a.
-func (c *condensed) onRemove(a, src int) {
-	for _, arc := range c.arcsOf[src] {
-		if arc.Sink == a {
-			continue
-		}
-		p := &c.pairs[a][arc.Sink]
-		switch src {
-		case p.best.source:
-			if p.second.source >= 0 && !p.stale {
-				p.best = p.second
-				p.second = condEdge{source: -1}
-				p.stale = true // second slot now unknown
-			} else {
-				p.best = condEdge{source: -1}
-				p.stale = true
-			}
-		case p.second.source:
-			p.second = condEdge{source: -1}
-			p.stale = true
+	c.stamps++
+	row := c.costOf[src*c.k : (src+1)*c.k]
+	c.slot[j*c.n+src] = int32(len(c.at[j]))
+	c.at[j] = append(c.at[j], presence{source: src, amount: amt, stamp: c.stamps})
+	for b, cb := range row {
+		if h := &c.heaps[j*c.k+b]; h.built && b != j && !math.IsInf(cb, 1) {
+			h.push(pairEntry{w: cb - row[j], source: int32(src), stamp: c.stamps})
 		}
 	}
 }
 
-// edge returns the current best candidate for the pair (a, b), recomputing
-// the pair from the presence list when stale. A stale pair whose best slot
-// is still valid only needs its second slot refreshed lazily — but only
-// when the best is removed, so we recompute fully here for simplicity.
-func (c *condensed) edge(a, b int) condEdge {
-	p := &c.pairs[a][b]
-	if !p.stale {
-		return p.best
+// remove takes amt of src off sink j; it reports whether the presence is
+// gone (its heap entries then lapse lazily).
+func (c *condensed) remove(j, src int, amt float64) bool {
+	s := c.slot[j*c.n+src]
+	ps := c.at[j]
+	if ps[s].amount -= amt; ps[s].amount > flow.Eps {
+		return false
 	}
-	if p.best.source >= 0 {
-		// Best is valid; the unknown second slot only matters on the next
-		// removal of best. Treat as fresh for reading.
-		return p.best
-	}
-	// Full recompute of this pair.
-	best, second := condEdge{source: -1}, condEdge{source: -1}
-	for _, pr := range c.at[a] {
-		if pr.amount <= flow.Eps {
-			continue
-		}
-		cb := c.costOf[pr.source*c.k+b]
-		if math.IsInf(cb, 1) {
-			continue
-		}
-		e := condEdge{w: cb - pr.cost, source: pr.source}
-		if better(e, best) {
-			second = best
-			best = e
-		} else if better(e, second) {
-			second = e
-		}
-	}
-	p.best, p.second, p.stale = best, second, false
-	return p.best
+	last := len(ps) - 1
+	ps[s] = ps[last]
+	c.slot[j*c.n+ps[s].source] = s
+	c.slot[j*c.n+src] = -1
+	c.at[j] = ps[:last]
+	return true
 }
 
-func solveCondensed(p *Problem) (*Solution, error) {
+func solveCondensed(p *Problem) (*Solution, int, error) {
 	if err := condensedFault.Check(); err != nil {
-		return nil, fmt.Errorf("transport: condensed engine: %w", err)
+		return nil, 0, fmt.Errorf("transport: condensed engine: %w", err)
 	}
 	n, k := p.NumSources(), p.NumSinks()
-	// Per source: arcs deduplicated (cheapest per sink) and sorted by sink
-	// so that all iteration below is deterministic, plus a map for O(1)
-	// cost lookups.
-	costOf := make([]float64, n*k)
-	for i := range costOf {
-		costOf[i] = math.Inf(1)
+	c := &condensed{
+		n:      n,
+		k:      k,
+		costOf: make([]float64, n*k),
+		at:     make([][]presence, k),
+		slot:   make([]int32, n*k),
+		load:   make([]float64, k),
+		heaps:  make([]pairHeap, k*k),
+		pi:     make([]float64, k+1),
+		dist:   make([]float64, k+1),
+		done:   make([]bool, k+1),
+		via:    make([]viaEdge, k+1),
 	}
-	arcsOf := make([][]Arc, n)
+	for i := range c.costOf {
+		c.costOf[i], c.slot[i] = math.Inf(1), -1
+	}
 	for i, arcs := range p.Arcs {
 		for _, a := range arcs {
-			if a.Cost < costOf[i*k+a.Sink] {
-				costOf[i*k+a.Sink] = a.Cost
-			}
-		}
-		arcsOf[i] = make([]Arc, 0, len(arcs))
-		for sink := 0; sink < k; sink++ {
-			if !math.IsInf(costOf[i*k+sink], 1) {
-				arcsOf[i] = append(arcsOf[i], Arc{Sink: sink, Cost: costOf[i*k+sink]})
-			}
+			c.costOf[i*k+a.Sink] = math.Min(c.costOf[i*k+a.Sink], a.Cost)
 		}
 	}
-	c := &condensed{
-		k:      k,
-		arcsOf: arcsOf,
-		costOf: costOf,
-		at:     make([][]presence, k),
-		load:   make([]float64, k),
-		pairs:  make([][]pairState, k),
-	}
-	for a := 0; a < k; a++ {
-		c.pairs[a] = make([]pairState, k)
-		for b := 0; b < k; b++ {
-			c.pairs[a][b] = pairState{best: condEdge{source: -1}, second: condEdge{source: -1}}
-		}
-	}
-	// Initial optimal pseudoflow: each source at its cheapest sink.
+	// Initial optimal pseudoflow: each source at its cheapest sink. Every
+	// condensed weight is then >= 0, so zero potentials are valid.
 	for i := 0; i < n; i++ {
 		if p.Supply[i] <= 0 {
-			return nil, fmt.Errorf("transport: source %d has non-positive supply %g", i, p.Supply[i])
+			return nil, 0, fmt.Errorf("transport: source %d has non-positive supply %g", i, p.Supply[i])
 		}
-		best, bestC := -1, math.Inf(1)
-		for _, a := range arcsOf[i] {
-			if a.Cost < bestC {
-				best, bestC = a.Sink, a.Cost
+		best := -1
+		for j, cj := range c.costOf[i*k : (i+1)*k] {
+			if !math.IsInf(cj, 1) && (best < 0 || cj < c.costOf[i*k+best]) {
+				best = j
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("%w: source %d has no admissible sink", ErrInfeasible, i)
+			return nil, 0, fmt.Errorf("%w: source %d has no admissible sink", ErrInfeasible, i)
 		}
-		c.at[best] = append(c.at[best], presence{source: i, amount: p.Supply[i], cost: bestC})
+		c.add(best, i, p.Supply[i])
 		c.load[best] += p.Supply[i]
-		c.onAdd(best, i, bestC)
 	}
-	// Cancel overloads: shortest path from an overloaded sink to a sink
-	// with slack in the condensed graph (Bellman-Ford; reassignment costs
-	// can be negative relative to the current plan).
-	for {
+	// Cancel overloads along shortest paths from an overloaded sink to the
+	// super-sink, which every sink with slack reaches.
+	augments := 0
+	for ; ; augments++ {
 		if p.Ctx != nil {
 			if err := p.Ctx.Err(); err != nil {
-				return nil, err
+				return nil, augments, err
 			}
 		}
 		over := -1
@@ -430,96 +448,72 @@ func solveCondensed(p *Problem) (*Solution, error) {
 		if over < 0 {
 			break
 		}
-		dist, via, ok := c.shortestPaths(over)
-		if !ok {
-			return nil, fmt.Errorf("transport: %w", ErrInfeasible)
-		}
-		// Best reachable sink with slack.
-		target := -1
-		bestD := math.Inf(1)
-		for j := 0; j < k; j++ {
-			if j == over || c.load[j] >= p.Capacity[j]-flow.Eps {
-				continue
-			}
-			if dist[j] < bestD {
-				target, bestD = j, dist[j]
-			}
+		target, err := c.dijkstra(over, p.Capacity)
+		if err != nil {
+			return nil, augments, err
 		}
 		if target < 0 {
-			return nil, fmt.Errorf("transport: %w", ErrInfeasible)
+			return nil, augments, fmt.Errorf("transport: %w", ErrInfeasible)
 		}
-		// Reconstruct path.
-		var path []int // sink sequence from over to target
-		for j := target; j != over; j = via[j].from {
+		path := c.path[:0] // sink sequence from over to target
+		for j := target; j != over; j = c.via[j].from {
 			path = append(path, j)
-			if len(path) > k {
-				return nil, fmt.Errorf("transport: predecessor cycle (internal error)")
-			}
 		}
 		path = append(path, over)
-		reverse(path)
-		// Batch augmentation: along each path edge, all presences whose
-		// reassignment cost ties the best candidate *exactly* lie on
-		// shortest paths too, so the whole tied group can move in one
-		// augmentation (a blocking-flow-style step). This collapses the
-		// thousands of unit-sized augmentations that arise when many
-		// cells share a position (initial pile-ups). Ties must be exact:
-		// batching epsilon-near candidates would leave the pseudoflow
-		// slightly suboptimal and later Bellman-Ford runs could chase
-		// tiny negative cycles.
-		want := c.load[over] - p.Capacity[over]
-		if slack := p.Capacity[target] - c.load[target]; slack < want {
-			want = slack
+		slices.Reverse(path)
+		c.path = path
+		// Batch augmentation: along each path edge, every presence whose
+		// reassignment weight ties the edge's *exactly* has zero reduced
+		// weight too, so a tied group moves in one augmentation. This
+		// collapses the thousands of unit-sized augmentations of cells that
+		// share a position. Ties must be exact: batching epsilon-near
+		// candidates would break the potentials' non-negativity. Groups are
+		// popped from their pair heaps in rounds of doubling size, starting
+		// at 1/1024 of the amount to move, so no group holds much more than
+		// the path's bottleneck amount; the surplus goes back to the heap.
+		move := math.Min(c.load[over]-p.Capacity[over], p.Capacity[target]-c.load[target])
+		for len(c.groups) < len(path)-1 {
+			c.groups = append(c.groups, tiedGroup{})
 		}
-		type tiedGroup struct {
-			sources []int
-			amounts []float64
-			total   float64
+		groups := c.groups[:len(path)-1]
+		for t := range groups {
+			groups[t] = tiedGroup{e: groups[t].e[:0]}
 		}
-		groups := make([]tiedGroup, len(path)-1)
-		move := want
-		for t := 0; t+1 < len(path); t++ {
-			a, b := path[t], path[t+1]
-			bestW := costOf[via[b].source*k+b] - costOf[via[b].source*k+a]
-			g := &groups[t]
-			for _, pr := range c.at[a] {
-				if pr.amount <= flow.Eps {
-					continue
+		for size := move / 1024; ; size = math.Min(2*size, move) {
+			for t := range groups {
+				a, b, g := path[t], path[t+1], &groups[t]
+				h, want := &c.heaps[a*k+b], math.Min(size, move)
+				//fbpvet:floatok exact ties only: equal weights have equal reduced weights
+				for g.total < want && len(h.e) > 0 && h.e[0].w == c.via[b].w {
+					if e := h.pop(); c.valid(a, e) {
+						g.e = append(g.e, e)
+						g.total += c.at[a][c.slot[a*n+int(e.source)]].amount
+					}
 				}
-				cb := costOf[pr.source*k+b]
-				if math.IsInf(cb, 1) {
-					continue
-				}
-				if cb-pr.cost <= bestW {
-					g.sources = append(g.sources, pr.source)
-					g.amounts = append(g.amounts, pr.amount)
-					g.total += pr.amount
+				if g.total < want { // the tied group is exhausted
+					move = g.total
 				}
 			}
-			if g.total < move {
-				move = g.total
+			if size >= move {
+				break
 			}
 		}
 		if move <= flow.Eps {
-			return nil, fmt.Errorf("transport: degenerate augmentation (move %g)", move)
+			return nil, augments, fmt.Errorf("transport: degenerate augmentation (move %g)", move)
 		}
 		for t := 0; t+1 < len(path); t++ {
 			a, b := path[t], path[t+1]
-			g := &groups[t]
 			remaining := move
-			for gi := 0; gi < len(g.sources) && remaining > flow.Eps; gi++ {
-				src := g.sources[gi]
-				amt := g.amounts[gi]
-				if amt > remaining {
-					amt = remaining
+			for _, e := range groups[t].e {
+				if src := int(e.source); remaining > flow.Eps {
+					amt := math.Min(c.at[a][c.slot[a*n+src]].amount, remaining)
+					gone := c.remove(a, src, amt)
+					c.add(b, src, amt)
+					if remaining -= amt; gone {
+						continue
+					}
 				}
-				if removePresence(&c.at[a], src, amt) {
-					c.onRemove(a, src)
-				}
-				if addPresence(&c.at[b], src, amt, costOf[src*k+b]) {
-					c.onAdd(b, src, costOf[src*k+b])
-				}
-				remaining -= amt
+				c.heaps[a*k+b].push(e) // still at a under the same stamp
 			}
 			c.load[a] -= move
 			c.load[b] += move
@@ -529,113 +523,74 @@ func solveCondensed(p *Problem) (*Solution, error) {
 	sol := &Solution{Assign: make([][]Portion, n)}
 	for j := 0; j < k; j++ {
 		for _, pr := range c.at[j] {
-			if pr.amount > flow.Eps {
-				sol.Assign[pr.source] = append(sol.Assign[pr.source], Portion{Sink: j, Amount: pr.amount})
-				sol.Cost += pr.amount * pr.cost
-			}
+			sol.Assign[pr.source] = append(sol.Assign[pr.source], Portion{Sink: j, Amount: pr.amount})
+			sol.Cost += pr.amount * c.costOf[pr.source*k+j]
 		}
 	}
 	for i := range sol.Assign {
 		sortPortions(sol.Assign[i])
 	}
-	return sol, nil
+	return sol, augments, nil
 }
 
-type viaEdge struct {
-	from   int // predecessor sink
-	source int // source reassigned from 'from' to this sink
-}
-
-// shortestPaths runs Bellman-Ford over the k-sink condensed graph from the
-// start sink. Edge a->b has weight min over sources present at a and
-// admissible at b of (cost(s,b) - cost(s,a)). Iteration is over sorted arc
-// slices so tie-breaking (and thus the whole solver) is deterministic.
-func (c *condensed) shortestPaths(start int) ([]float64, []viaEdge, bool) {
+// dijkstra runs a dense Dijkstra over the k-sink condensed graph plus the
+// super-sink T = k, from the overloaded sink over, on weights reduced by the
+// sink potentials. Edge a->b weighs the cheapest reassignment of a source
+// at a to b; every sink with slack reaches T at weight 0. It stops when T
+// settles, sets pi += min(d, d_T), and returns the slack sink T is reached
+// from (-1 when T is unreachable: the instance is infeasible).
+func (c *condensed) dijkstra(over int, capacity []float64) (int, error) {
 	k := c.k
-	dist := make([]float64, k)
-	via := make([]viaEdge, k)
-	for j := range dist {
-		dist[j] = math.Inf(1)
-		via[j] = viaEdge{from: -1, source: -1}
+	for j := 0; j <= k; j++ {
+		c.dist[j], c.done[j] = math.Inf(1), false
 	}
-	dist[start] = 0
-	for round := 0; round < k; round++ {
-		improved := false
-		for a := 0; a < k; a++ {
-			if math.IsInf(dist[a], 1) {
+	c.dist[over] = 0
+	for {
+		u := -1
+		for j := 0; j <= k; j++ {
+			if !c.done[j] && (u < 0 || c.dist[j] < c.dist[u]) {
+				u = j
+			}
+		}
+		if math.IsInf(c.dist[u], 1) {
+			return -1, nil
+		}
+		if c.done[u] = true; u == k {
+			break
+		}
+		if c.load[u] < capacity[u]-flow.Eps {
+			if err := c.relax(u, k, 0); err != nil {
+				return -1, err
+			}
+		}
+		for b := 0; b < k; b++ {
+			if c.done[b] {
 				continue
 			}
-			for b := 0; b < k; b++ {
-				if b == a {
-					continue
-				}
-				e := c.edge(a, b)
-				if e.source < 0 {
-					continue
-				}
-				if nd := dist[a] + e.w; nd+flow.Eps < dist[b] {
-					dist[b] = nd
-					via[b] = viaEdge{from: a, source: e.source}
-					improved = true
+			if e, ok := c.edge(u, b); ok {
+				if err := c.relax(u, b, e.w); err != nil {
+					return -1, err
 				}
 			}
 		}
-		if !improved {
-			break
-		}
 	}
-	reachable := false
-	for j := 0; j < k; j++ {
-		if !math.IsInf(dist[j], 1) {
-			reachable = true
-			break
-		}
+	for j := 0; j <= k; j++ {
+		c.pi[j] += math.Min(c.dist[j], c.dist[k])
 	}
-	return dist, via, reachable
+	return c.via[k].from, nil
 }
 
-func presenceAmount(ps []presence, source int) float64 {
-	for _, pr := range ps {
-		if pr.source == source {
-			return pr.amount
-		}
+// relax offers the condensed edge a->b of weight w. Potentials keep reduced
+// weights non-negative up to rounding in the three terms; a negative one is
+// an engine defect, reported so Solve falls back to the reference engine
+// rather than return a plan that is not optimal.
+func (c *condensed) relax(a, b int, w float64) error {
+	rw := w + c.pi[a] - c.pi[b]
+	if rw < -1e-9*(1+math.Abs(w)+math.Abs(c.pi[a])+math.Abs(c.pi[b])) {
+		return fmt.Errorf("transport: negative reduced weight %g on sink pair %d->%d", rw, a, b)
 	}
-	return 0
-}
-
-// removePresence reduces source's amount at the sink; it reports whether
-// the presence disappeared entirely (candidate edges must be retired).
-func removePresence(ps *[]presence, source int, amt float64) bool {
-	for i := range *ps {
-		if (*ps)[i].source == source {
-			(*ps)[i].amount -= amt
-			if (*ps)[i].amount <= flow.Eps {
-				last := len(*ps) - 1
-				(*ps)[i] = (*ps)[last]
-				*ps = (*ps)[:last]
-				return true
-			}
-			return false
-		}
+	if d := c.dist[a] + rw; d < c.dist[b] {
+		c.dist[b], c.via[b] = d, viaEdge{from: a, w: w}
 	}
-	return false
-}
-
-// addPresence adds amount of source at the sink; it reports whether the
-// presence is new (candidate edges must be offered).
-func addPresence(ps *[]presence, source int, amt, cost float64) bool {
-	for i := range *ps {
-		if (*ps)[i].source == source {
-			(*ps)[i].amount += amt
-			return false
-		}
-	}
-	*ps = append(*ps, presence{source: source, amount: amt, cost: cost})
-	return true
-}
-
-func reverse(v []int) {
-	for i, j := 0, len(v)-1; i < j; i, j = i+1, j-1 {
-		v[i], v[j] = v[j], v[i]
-	}
+	return nil
 }

@@ -191,15 +191,14 @@ func randomProblem(rng *rand.Rand) *Problem {
 	return p
 }
 
-// placementProblem builds a realization-shaped instance: a few hundred to
-// about a thousand cells shipping integer areas to up to 32 region sinks
-// at L1 distance. Half the cells sit in co-located clumps, so many sources
-// share identical cost rows (tie-heavy), total capacity exceeds total
-// supply by 0-10%, and about a quarter of the arcs to sinks other than
-// sink 0 are inadmissible, as under movebounds.
-func placementProblem(rng *rand.Rand) *Problem {
-	n := 100 + rng.Intn(900)
-	k := 4 + rng.Intn(29)
+// placementProblem builds a realization-shaped instance: n cells shipping
+// integer areas to k region sinks at L1 distance. A third of the cells sit
+// on one shared vertical line, as cells snapped to a window boundary do, so
+// whole groups of them tie on their reassignment costs. Half the others sit
+// in co-located clumps (identical cost rows). Total capacity exceeds total
+// supply by 0-10%, and about a quarter of the arcs to sinks other than sink
+// 0 are inadmissible, as under movebounds.
+func placementProblem(rng *rand.Rand, n, k int) *Problem {
 	const side = 100
 	type point struct{ x, y float64 }
 	randPoint := func() point { return point{float64(rng.Intn(side)), float64(rng.Intn(side))} }
@@ -211,6 +210,7 @@ func placementProblem(rng *rand.Rand) *Problem {
 	for c := range clumps {
 		clumps[c] = randPoint()
 	}
+	line := float64(rng.Intn(side))
 	p := &Problem{
 		Supply:   make([]float64, n),
 		Capacity: make([]float64, k),
@@ -221,7 +221,10 @@ func placementProblem(rng *rand.Rand) *Problem {
 		p.Supply[i] = float64(1 + rng.Intn(4))
 		total += p.Supply[i]
 		at := randPoint()
-		if i%2 == 0 {
+		switch i % 6 {
+		case 0, 3:
+			at.x = line
+		case 1, 4:
 			at = clumps[rng.Intn(len(clumps))]
 		}
 		for j, s := range sinks {
@@ -244,23 +247,39 @@ func placementProblem(rng *rand.Rand) *Problem {
 	return p
 }
 
+// PlacementProblem exports the generator to the external tests of this
+// package.
+var PlacementProblem = placementProblem
+
 // Property: the condensed engine matches the reference engine's optimal
-// cost, and agrees with it on feasibility, on small random instances and
-// on placement-shaped ones.
+// cost without falling back to it, and agrees with it on feasibility, on
+// small random instances and on placement-shaped ones up to n = 2k cells
+// and k = 80 sinks.
 func TestCondensedMatchesReference(t *testing.T) {
+	placement := func(minN, maxN, minK, maxK int) func(*rand.Rand) *Problem {
+		return func(rng *rand.Rand) *Problem {
+			return placementProblem(rng, minN+rng.Intn(maxN-minN+1), minK+rng.Intn(maxK-minK+1))
+		}
+	}
 	for _, tc := range []struct {
 		name  string
 		gen   func(*rand.Rand) *Problem
 		count int
 	}{
 		{"random", randomProblem, 200},
-		{"placement", placementProblem, 60},
+		{"placement", placement(100, 999, 4, 32), 60},
+		{"placement-large", placement(1000, 2000, 40, 80), 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := func(seed int64) bool {
 				p := tc.gen(rand.New(rand.NewSource(seed)))
+				p.Degrade = degrade.New(nil) // a fallback would compare the reference with itself
 				ref, err1 := SolveReference(p)
 				got, err2 := Solve(p)
+				if p.Degrade.Len() != 0 {
+					t.Logf("seed %d: condensed engine fell back: %v", seed, p.Degrade.Events())
+					return false
+				}
 				if err1 != nil || err2 != nil {
 					return err1 != nil && err2 != nil // both must agree on feasibility
 				}
@@ -467,5 +486,21 @@ func BenchmarkCondensedLarge(b *testing.B) {
 		if _, err := Solve(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCondensedPlacement solves placement-shaped instances at the
+// block shapes realization meets: a 3x3 block of the 16-window level of a
+// 20k-cell chip (26 sinks) and a shallow Table-I block (160 sinks).
+func BenchmarkCondensedPlacement(b *testing.B) {
+	for _, shape := range []struct{ n, k int }{{20000, 26}, {5000, 160}} {
+		p := placementProblem(rand.New(rand.NewSource(1)), shape.n, shape.k)
+		b.Run(fmt.Sprintf("n=%d/k=%d", shape.n, shape.k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Solve(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
