@@ -76,6 +76,21 @@ for workload in incremental flat; do
 		exit 1
 		;;
 	esac
+	# The 1024-window network-simplex pivot count is a deterministic work
+	# counter: bit-reproducible run to run and across worker counts (this
+	# value is seed 0 on linux/amd64), so it is gated exactly, not with a
+	# noise bound. A change to it changes the pivot sequence and with it the
+	# placement; it must be deliberate, with this value updated and the
+	# reason recorded in CHANGES.md.
+	if [ "$workload" = incremental ]; then
+		case "$benchline" in
+		*'"flow.ns_pivots.w1024":{"value":157487,'*) ;;
+		*)
+			echo "benchmark smoke (incremental): flow.ns_pivots.w1024 is not 157487: $benchline" >&2
+			exit 1
+			;;
+		esac
+	fi
 done
 
 echo "== fault injection suite =="

@@ -57,6 +57,9 @@ func (g *MinCostFlow) SolveNS() (float64, error) {
 	ns := &netSimplex{numNodes: n + 2} // + dummy balancer + artificial root
 	dummy := n
 	root := n + 1
+	// At most one dummy arc per real node, the real arcs, and one
+	// artificial arc per non-root node.
+	ns.reserveArcs(n + len(g.arcPos) + n + 1)
 	b := make([]float64, ns.numNodes)
 	for v := 0; v < n; v++ {
 		b[v] = g.supply[v]
@@ -90,13 +93,14 @@ func (g *MinCostFlow) SolveNS() (float64, error) {
 		realArc[id] = ns.addArc(int(p[0]), int(a.to), a.cap, a.cost)
 	}
 	ns.initTree(b, root, g.maxCost)
-	// Publish pivot stats on EVERY exit — success, infeasibility, stall
-	// and context aborts alike. A stalled run in particular did real work
-	// that the NS->SSP fallback would otherwise hide from observability
-	// and the degradation record.
+	// Publish pivot stats (pivots and the nodes they re-potentialed) on
+	// EVERY exit — success, infeasibility, stall and context aborts alike.
+	// A stalled run in particular did real work that the NS->SSP fallback
+	// would otherwise hide from observability and the degradation record.
 	defer func() {
 		g.Pivots = ns.pivots
 		g.Obs.Count("ns.pivots", float64(ns.pivots))
+		g.Obs.Count("ns.tree_nodes", float64(ns.treeNodes))
 	}()
 	if err := ns.run(g.Ctx, b, g.maxCost); err != nil {
 		return 0, err
@@ -140,16 +144,21 @@ func (g *MinCostFlow) SolveNS() (float64, error) {
 	return totalCost, nil
 }
 
-// Arc states of the simplex.
+// Arc states of the simplex. The values are the sign that turns an arc's
+// reduced cost into its violation (lower: -rc, upper: +rc), so pricing
+// needs no branch; tree arcs price to zero and never enter.
 const (
-	stateLower = iota
-	stateTree
-	stateUpper
+	stateUpper = -1
+	stateTree  = 0
+	stateLower = 1
 )
 
 // netSimplex is a primal network simplex over a spanning tree rooted at an
-// artificial root. Tree connectivity is kept in parent/children form; each
-// pivot re-hangs one subtree and refreshes its potentials by DFS.
+// artificial root. The tree is kept in LEMON's layout (Király & Kovács,
+// "Efficient implementations of minimum-cost flow algorithms", 2012):
+// parent pointers plus a preorder thread, so every subtree is one
+// contiguous run of the thread. Each pivot re-hangs one subtree by
+// splicing thread runs and refreshes its potentials by walking its run.
 type netSimplex struct {
 	from, to []int32
 	cap      []float64
@@ -157,16 +166,34 @@ type netSimplex struct {
 	flow     []float64
 	state    []int8
 
-	parent   []int32 // tree parent
-	predArc  []int32 // arc connecting v to parent
-	predUp   []bool  // true when the arc is directed v -> parent
-	children [][]int32
+	parent   []int32   // tree parent (-1 at the root)
+	predArc  []int32   // arc connecting v to parent
+	predUp   []bool    // true when the arc is directed v -> parent
+	predCost []float64 // pred arc cost signed so that pi[v] = pi[parent] + predCost[v]
 	pi       []float64 // node potentials
 	depth    []int32   // tree depth (root 0), maintained by init and pivots
+
+	thread    []int32 // preorder successor, circular through the root
+	revThread []int32 // preorder predecessor
+	succNum   []int32 // subtree size
+	lastSucc  []int32 // last node of the subtree in preorder
+	dirty     []int32 // updateTree scratch: nodes whose thread successor moved
 
 	artificial []int // arc ids of the root arcs
 	numNodes   int
 	pivots     int
+	treeNodes  int // nodes re-potentialed, summed over pivots
+}
+
+// reserveArcs sizes the arc arrays for m arcs, so that building the
+// instance does not regrow them.
+func (ns *netSimplex) reserveArcs(m int) {
+	ns.from = make([]int32, 0, m)
+	ns.to = make([]int32, 0, m)
+	ns.cap = make([]float64, 0, m)
+	ns.cost = make([]float64, 0, m)
+	ns.flow = make([]float64, 0, m)
+	ns.state = make([]int8, 0, m)
 }
 
 func (ns *netSimplex) addArc(u, v int, capacity, cost float64) int {
@@ -181,17 +208,27 @@ func (ns *netSimplex) addArc(u, v int, capacity, cost float64) int {
 
 // initTree builds the classic all-artificial starting tree: every node
 // hangs off the root through a big-M arc oriented by the sign of its
-// imbalance, which carries exactly that imbalance.
+// imbalance, which carries exactly that imbalance. The thread runs root,
+// then every other node in index order.
 func (ns *netSimplex) initTree(b []float64, root int, maxCost float64) {
 	nn := ns.numNodes
 	bigM := (maxCost + 1) * float64(nn)
 	ns.parent = make([]int32, nn)
 	ns.predArc = make([]int32, nn)
 	ns.predUp = make([]bool, nn)
-	ns.children = make([][]int32, nn)
+	ns.predCost = make([]float64, nn)
 	ns.pi = make([]float64, nn)
 	ns.depth = make([]int32, nn)
+	ns.thread = make([]int32, nn)
+	ns.revThread = make([]int32, nn)
+	ns.succNum = make([]int32, nn)
+	ns.lastSucc = make([]int32, nn)
+	ns.dirty = make([]int32, 0, nn)
+	ns.artificial = make([]int, 0, nn-1)
+	prev := int32(root)
 	for v := 0; v < nn; v++ {
+		ns.succNum[v] = 1
+		ns.lastSucc[v] = int32(v)
 		if v == root {
 			ns.parent[v] = -1
 			ns.predArc[v] = -1
@@ -202,20 +239,28 @@ func (ns *netSimplex) initTree(b []float64, root int, maxCost float64) {
 			ai = ns.addArc(v, root, Inf, bigM)
 			ns.flow[ai] = b[v]
 			ns.predUp[v] = true
+			ns.predCost[v] = -bigM
 			ns.pi[v] = -bigM
 		} else {
 			ai = ns.addArc(root, v, Inf, bigM)
 			ns.flow[ai] = -b[v]
 			ns.predUp[v] = false
+			ns.predCost[v] = bigM
 			ns.pi[v] = bigM
 		}
 		ns.state[ai] = stateTree
 		ns.artificial = append(ns.artificial, ai)
 		ns.parent[v] = int32(root)
 		ns.predArc[v] = int32(ai)
-		ns.children[root] = append(ns.children[root], int32(v))
 		ns.depth[v] = 1
+		ns.thread[prev] = int32(v)
+		ns.revThread[v] = prev
+		prev = int32(v)
 	}
+	ns.thread[prev] = int32(root)
+	ns.revThread[root] = prev
+	ns.succNum[root] = int32(nn)
+	ns.lastSucc[root] = prev
 }
 
 // run executes the pivot loop of a simplex whose starting tree initTree
@@ -223,7 +268,6 @@ func (ns *netSimplex) initTree(b []float64, root int, maxCost float64) {
 // node. A non-nil ctx is polled periodically and aborts the run with the
 // context's error.
 func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) error {
-	depth := ns.depth
 	m := len(ns.from)
 	block := int(math.Sqrt(float64(m))) + 1
 	scan := 0
@@ -252,23 +296,15 @@ func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) err
 		enter := -1
 		bestViol := Eps * (1 + maxCost)
 		scanned := 0
+		state, cost, from, to, pi := ns.state, ns.cost, ns.from, ns.to, ns.pi
 		for scanned < m {
 			end := scan + block
 			if end > m {
 				end = m
 			}
 			for ai := scan; ai < end; ai++ {
-				if ns.state[ai] == stateTree {
-					continue
-				}
-				rc := ns.cost[ai] + ns.pi[ns.from[ai]] - ns.pi[ns.to[ai]]
-				var viol float64
-				if ns.state[ai] == stateLower {
-					viol = -rc
-				} else {
-					viol = rc
-				}
-				if viol > bestViol {
+				rc := cost[ai] + pi[from[ai]] - pi[to[ai]]
+				if viol := -float64(state[ai]) * rc; viol > bestViol {
 					bestViol = viol
 					enter = ai
 				}
@@ -285,7 +321,7 @@ func (ns *netSimplex) run(ctx context.Context, b []float64, maxCost float64) err
 		if enter < 0 {
 			break // optimal
 		}
-		ns.pivot(enter, depth)
+		ns.pivot(enter)
 		ns.pivots++
 		if nsDebugCheck != nil {
 			nsDebugCheck(ns, b, pivot)
@@ -304,7 +340,8 @@ func (ns *netSimplex) residualDir(ai int32, forward bool) float64 {
 }
 
 // pivot performs one simplex pivot with the given entering arc.
-func (ns *netSimplex) pivot(enter int, depth []int32) {
+func (ns *netSimplex) pivot(enter int) {
+	depth := ns.depth
 	u, v := ns.from[enter], ns.to[enter]
 	// Push direction along the entering arc: lower -> forward (u to v),
 	// upper -> backward (v to u).
@@ -344,6 +381,7 @@ func (ns *netSimplex) pivot(enter int, depth []int32) {
 			bnode = ns.parent[bnode]
 		}
 	}
+	join := a
 	// Apply the flow change around the cycle.
 	if delta > 0 {
 		if forward {
@@ -351,7 +389,7 @@ func (ns *netSimplex) pivot(enter int, depth []int32) {
 		} else {
 			ns.flow[enter] -= delta
 		}
-		for x := src; x != a; x = ns.parent[x] {
+		for x := src; x != join; x = ns.parent[x] {
 			// Parent -> child traversal: against the arc when it points up.
 			if ns.predUp[x] {
 				ns.flow[ns.predArc[x]] -= delta
@@ -359,7 +397,7 @@ func (ns *netSimplex) pivot(enter int, depth []int32) {
 				ns.flow[ns.predArc[x]] += delta
 			}
 		}
-		for x := dst; x != a; x = ns.parent[x] {
+		for x := dst; x != join; x = ns.parent[x] {
 			// Child -> parent traversal: with the arc when it points up.
 			if ns.predUp[x] {
 				ns.flow[ns.predArc[x]] += delta
@@ -371,11 +409,7 @@ func (ns *netSimplex) pivot(enter int, depth []int32) {
 	// Determine the leaving arc.
 	if leaveNode < 0 {
 		// The entering arc itself blocks: toggle its bound state.
-		if ns.state[enter] == stateLower {
-			ns.state[enter] = stateUpper
-		} else {
-			ns.state[enter] = stateLower
-		}
+		ns.state[enter] = -ns.state[enter]
 		return
 	}
 	leaveArc := ns.predArc[leaveNode]
@@ -389,88 +423,149 @@ func (ns *netSimplex) pivot(enter int, depth []int32) {
 	}
 	// Re-hang: the subtree cut off by removing leaveArc contains src (if
 	// the leaving arc was on the src path) or dst. That subtree is
-	// re-rooted at src (resp. dst) and attached through the entering arc.
-	var hang int32
+	// re-rooted at uIn, the entering arc's endpoint inside it, and
+	// attached through the entering arc below vIn, the other endpoint.
+	// Seen from uIn the entering arc points up to vIn exactly when it runs
+	// uIn -> vIn.
+	uIn, vIn := dst, src
 	if leaveOnSrc {
-		hang = src
-	} else {
-		hang = dst
+		uIn, vIn = src, dst
 	}
-	// Reverse the parent chain from hang up to leaveNode.
-	type link struct {
-		node int32
-		arc  int32
-		up   bool
-	}
-	var chain []link
-	for x := hang; ; x = ns.parent[x] {
-		chain = append(chain, link{node: x, arc: ns.predArc[x], up: ns.predUp[x]})
-		if x == leaveNode {
-			break
-		}
-	}
-	// Detach leaveNode from its parent.
-	ns.removeChild(ns.parent[leaveNode], leaveNode)
-	// Reverse: chain[i].node's new parent becomes chain[i-1].node,
-	// connected by the arc that previously linked chain[i-1] up to
-	// chain[i], with its direction flag flipped for the new child.
-	for i := len(chain) - 1; i >= 1; i-- {
-		child := chain[i-1].node
-		node := chain[i].node
-		ns.removeChild(node, child)
-		ns.parent[node] = child
-		ns.predArc[node] = chain[i-1].arc
-		ns.predUp[node] = !chain[i-1].up
-		ns.children[child] = append(ns.children[child], node)
-	}
-	// Attach hang under the other endpoint via the entering arc.
-	var attachParent int32
-	if leaveOnSrc {
-		attachParent = dst
-		if forward {
-			// entering arc runs src(u) -> dst(v); from hang's (src)
-			// perspective the arc points up to the parent.
-			ns.predUp[hang] = true
-		} else {
-			ns.predUp[hang] = false
-		}
-	} else {
-		attachParent = src
-		if forward {
-			ns.predUp[hang] = false
-		} else {
-			ns.predUp[hang] = true
-		}
-	}
-	ns.parent[hang] = attachParent
-	ns.predArc[hang] = int32(enter)
-	ns.children[attachParent] = append(ns.children[attachParent], hang)
+	ns.updateTree(int32(enter), uIn, vIn, leaveNode, join, u == uIn)
 	ns.state[enter] = stateTree
-	// Refresh potentials and depths of the re-hung subtree by DFS.
-	stack := []int32{hang}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		p := ns.parent[x]
-		ai := ns.predArc[x]
-		if ns.predUp[x] {
-			// arc x -> p: rc 0 => pi[x] = pi[p] - cost
-			ns.pi[x] = ns.pi[p] - ns.cost[ai]
-		} else {
-			ns.pi[x] = ns.pi[p] + ns.cost[ai]
-		}
+	// Refresh potentials and depths of the re-hung subtree, whose nodes
+	// are the thread run from uIn; preorder visits every parent first.
+	parent, thread, pi, predCost := ns.parent, ns.thread, ns.pi, ns.predCost
+	end := thread[ns.lastSucc[uIn]]
+	for x := uIn; x != end; x = thread[x] {
+		p := parent[x]
+		pi[x] = pi[p] + predCost[x]
 		depth[x] = depth[p] + 1
-		stack = append(stack, ns.children[x]...)
 	}
+	ns.treeNodes += int(ns.succNum[uIn])
 }
 
-func (ns *netSimplex) removeChild(parent, child int32) {
-	cs := ns.children[parent]
-	for i, c := range cs {
-		if c == child {
-			cs[i] = cs[len(cs)-1]
-			ns.children[parent] = cs[:len(cs)-1]
-			return
+// updateTree re-hangs the subtree of uOut, whose pred arc leaves the tree,
+// below vIn through the entering arc enter, whose endpoint uIn lies in
+// that subtree; join is the apex of the pivot cycle and up orients enter
+// as uIn -> vIn. The path from uIn up to uOut (the stem) reverses, so each
+// stem node's pred arc becomes the one its old child used. It is LEMON's
+// updateTreeStructure: the thread runs of the stem nodes are spliced into
+// their new preorder right after vIn, and subtree sizes and last
+// successors are fixed up along the stem and from vIn and the old parent
+// of uOut towards the join.
+func (ns *netSimplex) updateTree(enter, uIn, vIn, uOut, join int32, up bool) {
+	parent, thread, revThread := ns.parent, ns.thread, ns.revThread
+	succNum, lastSucc := ns.succNum, ns.lastSucc
+	oldRevThread := revThread[uOut]
+	oldSuccNum := succNum[uOut]
+	oldLastSucc := lastSucc[uOut]
+	vOut := parent[uOut]
+	if uIn == uOut {
+		// No stem: move uOut's thread run behind vIn unless it is there.
+		if thread[vIn] != uOut {
+			after := thread[oldLastSucc]
+			thread[oldRevThread] = after
+			revThread[after] = oldRevThread
+			after = thread[vIn]
+			thread[vIn] = uOut
+			revThread[uOut] = vIn
+			thread[oldLastSucc] = after
+			revThread[after] = oldLastSucc
 		}
+	} else {
+		// When vIn precedes uOut in the thread (then join is vOut), the
+		// re-hung run takes the old run's place.
+		threadContinue := thread[vIn]
+		if oldRevThread == vIn {
+			threadContinue = thread[oldLastSucc]
+		}
+		// Walk the stem: append each stem node's run minus its old child's
+		// run, and unlink that child run from the old thread.
+		stem, parStem := uIn, vIn
+		last := lastSucc[uIn] // last node of stem's new run
+		after := thread[last]
+		thread[vIn] = uIn
+		dirty := append(ns.dirty[:0], vIn)
+		for stem != uOut {
+			next := parent[stem]
+			thread[last] = next
+			dirty = append(dirty, last)
+			before := revThread[stem]
+			thread[before] = after
+			revThread[after] = before
+			parent[stem] = parStem
+			parStem, stem = stem, next
+			if lastSucc[stem] == lastSucc[parStem] {
+				last = revThread[parStem]
+			} else {
+				last = lastSucc[stem]
+			}
+			after = thread[last]
+		}
+		parent[uOut] = parStem
+		thread[last] = threadContinue
+		revThread[threadContinue] = last
+		lastSucc[uOut] = last
+		if oldRevThread != vIn {
+			thread[oldRevThread] = after
+			revThread[after] = oldRevThread
+		}
+		for _, x := range dirty {
+			revThread[thread[x]] = x
+		}
+		ns.dirty = dirty
+		// Down the stem from uOut: each node takes its new parent's old
+		// pred arc, reversed, and the new subtree sizes accumulate; every
+		// stem subtree now ends where uOut's does.
+		sc := int32(0)
+		for x := uOut; x != uIn; {
+			p := parent[x]
+			ns.predArc[x] = ns.predArc[p]
+			ns.predUp[x] = !ns.predUp[p]
+			ns.predCost[x] = -ns.predCost[p]
+			sc += succNum[x] - succNum[p]
+			succNum[x] = sc
+			lastSucc[p] = last
+			x = p
+		}
+		succNum[uIn] = oldSuccNum
+	}
+	parent[uIn] = vIn
+	ns.predArc[uIn] = enter
+	ns.predUp[uIn] = up
+	if up {
+		ns.predCost[uIn] = -ns.cost[enter]
+	} else {
+		ns.predCost[uIn] = ns.cost[enter]
+	}
+	// Last successors from vIn towards the root: a leaf vIn (and every
+	// ancestor ending with it) now ends with the re-hung run.
+	upLimitOut := int32(-1)
+	if lastSucc[join] == vIn {
+		upLimitOut = join
+	}
+	lastSuccOut := lastSucc[uOut]
+	for x := vIn; x != -1 && lastSucc[x] == vIn; x = parent[x] {
+		lastSucc[x] = lastSuccOut
+	}
+	// Last successors from vOut towards the root: those that ended with
+	// uOut's old run now end before it, or with the re-hung run where it
+	// took the old run's place.
+	if join != oldRevThread && vIn != oldRevThread {
+		for x := vOut; x != upLimitOut && lastSucc[x] == oldLastSucc; x = parent[x] {
+			lastSucc[x] = oldRevThread
+		}
+	} else if lastSuccOut != oldLastSucc {
+		for x := vOut; x != upLimitOut && lastSucc[x] == oldLastSucc; x = parent[x] {
+			lastSucc[x] = lastSuccOut
+		}
+	}
+	// Subtree sizes between the join and the two attachment points.
+	for x := vIn; x != join; x = parent[x] {
+		succNum[x] += oldSuccNum
+	}
+	for x := vOut; x != join; x = parent[x] {
+		succNum[x] -= oldSuccNum
 	}
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,16 +152,7 @@ func TestNSMatchesSSP(t *testing.T) {
 		g1, g2 := buildRandomMCF(seed)
 		c1, e1 := g1.Solve()
 		c2, e2 := g2.SolveNS()
-		if (e1 == nil) != (e2 == nil) {
-			return false
-		}
-		if e1 != nil {
-			// Both infeasible: unrouted amounts must agree.
-			i1 := e1.(*ErrInfeasible)
-			i2 := e2.(*ErrInfeasible)
-			return math.Abs(i1.Unrouted-i2.Unrouted) < 1e-6
-		}
-		return math.Abs(c1-c2) < 1e-6*(1+math.Abs(c1))
+		return agreeWithSSP(c1, e1, c2, e2) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -187,12 +179,7 @@ func TestNSFlowConservation(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		n := 0
-		for v := range g.supply {
-			if g.supply[v] != 0 || true {
-				n = v + 1
-			}
-		}
+		n := len(g.supply)
 		bal := make([]float64, n)
 		for _, a := range arcs {
 			f := g.Flow(a.id)
@@ -248,6 +235,7 @@ func meshGrid(k int, supplyScale float64, arcCost, arcCap float64) *MinCostFlow 
 }
 
 func BenchmarkNSGrid(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g := meshGrid(30, 1, 1, Inf)
 		if _, err := g.SolveNS(); err != nil {
@@ -278,6 +266,9 @@ func TestNSStatsPublishedOnStall(t *testing.T) {
 	if got := g.Obs.Counter("ns.pivots"); got != float64(g.Pivots) {
 		t.Fatalf("ns.pivots counter = %v, want %d", got, g.Pivots)
 	}
+	if got := g.Obs.Counter("ns.tree_nodes"); got <= 0 {
+		t.Fatalf("ns.tree_nodes counter = %v after %d pivots, want > 0", got, g.Pivots)
+	}
 	if stall.Pivots != g.Pivots {
 		t.Fatalf("ErrStalled.Pivots = %d, g.Pivots = %d", stall.Pivots, g.Pivots)
 	}
@@ -297,22 +288,138 @@ func TestNSStatsPublishedOnInfeasible(t *testing.T) {
 	if got := g.Obs.Counter("ns.pivots"); got != float64(g.Pivots) {
 		t.Fatalf("ns.pivots counter = %v, want %d", got, g.Pivots)
 	}
+	if got := g.Obs.Counter("ns.tree_nodes"); got <= 0 {
+		t.Fatalf("ns.tree_nodes counter = %v after %d pivots, want > 0", got, g.Pivots)
+	}
+}
+
+// agreeWithSSP reports whether a network simplex result matches the SSP
+// result of the same instance: the same (in)feasibility, the same optimal
+// cost when feasible, the same unrouted supply when not.
+func agreeWithSSP(sspCost float64, sspErr error, nsCost float64, nsErr error) error {
+	if (sspErr == nil) != (nsErr == nil) {
+		return fmt.Errorf("SSP err %v, NS err %v", sspErr, nsErr)
+	}
+	if sspErr != nil {
+		i1, ok1 := sspErr.(*ErrInfeasible)
+		i2, ok2 := nsErr.(*ErrInfeasible)
+		if !ok1 || !ok2 {
+			return fmt.Errorf("SSP err %v, NS err %v, want both ErrInfeasible", sspErr, nsErr)
+		}
+		if math.Abs(i1.Unrouted-i2.Unrouted) >= 1e-6 {
+			return fmt.Errorf("unrouted: SSP %g, NS %g", i1.Unrouted, i2.Unrouted)
+		}
+		return nil
+	}
+	if math.Abs(sspCost-nsCost) >= 1e-6*(1+math.Abs(sspCost)) {
+		return fmt.Errorf("cost: SSP %g, NS %g", sspCost, nsCost)
+	}
+	return nil
 }
 
 // TestNSInvariantsPerPivot validates the full simplex invariants
-// (conservation, bounds, zero reduced cost on tree arcs) after every
-// pivot of several random instances.
+// (conservation, bounds, zero reduced cost on tree arcs, the thread
+// layout) after every pivot, on small random instances and on mesh grids,
+// whose deep trees make the long stems a pivot must reverse. Every
+// instance must then agree with SSP.
 func TestNSInvariantsPerPivot(t *testing.T) {
+	type instance struct {
+		name    string
+		ns, ssp *MinCostFlow
+	}
+	var cases []instance
 	rng := rand.New(rand.NewSource(321))
-	defer func() { nsDebugCheck = nil }()
 	for trial := 0; trial < 40; trial++ {
-		g, _ := buildRandomMCF(rng.Int63())
+		g, ref := buildRandomMCF(rng.Int63())
+		cases = append(cases, instance{fmt.Sprintf("random%d", trial), g, ref})
+	}
+	for _, mc := range []struct {
+		name            string
+		k               int
+		scale, cost, cp float64
+	}{
+		{"mesh-zero-cost", 12, 1, 0, Inf},
+		{"mesh-capacitated", 10, 2, 1, 3},
+		{"mesh-infeasible", 8, 4, 1, 1},
+	} {
+		cases = append(cases, instance{mc.name,
+			meshGrid(mc.k, mc.scale, mc.cost, mc.cp), meshGrid(mc.k, mc.scale, mc.cost, mc.cp)})
+	}
+	defer func() { nsDebugCheck = nil }()
+	for _, c := range cases {
 		nsDebugCheck = func(ns *netSimplex, b []float64, pivotNo int) {
 			if err := nsValidate(ns, b, pivotNo); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
+				t.Fatalf("%s: %v", c.name, err)
 			}
 		}
-		g.SolveNS()
+		nsCost, nsErr := c.ns.SolveNS()
+		nsDebugCheck = nil
+		sspCost, sspErr := c.ssp.Solve()
+		if err := agreeWithSSP(sspCost, sspErr, nsCost, nsErr); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestNSPivotCountsPinned pins the pivot sequence: the pivot rule, the
+// entering and leaving arc choices with their tie order, and the
+// potential arithmetic decide how many pivots an instance takes, and the
+// placement downstream depends on the flows they produce. A change that
+// is meant to alter the pivot sequence updates these counts on purpose.
+func TestNSPivotCountsPinned(t *testing.T) {
+	check := func(name string, g *MinCostFlow, pivots int, cost float64, infeasible bool) {
+		t.Helper()
+		got, err := g.SolveNS()
+		if _, inf := err.(*ErrInfeasible); inf != infeasible || (err != nil && !inf) {
+			t.Errorf("%s: err = %v, want infeasible %v", name, err, infeasible)
+		}
+		if g.Pivots != pivots || math.Abs(got-cost) > 1e-9*(1+math.Abs(cost)) {
+			t.Errorf("%s: %d pivots, cost %v; pinned %d pivots, cost %v", name, g.Pivots, got, pivots, cost)
+		}
+	}
+	check("meshGrid(20,1,1,Inf)", meshGrid(20, 1, 1, Inf), 545, 620, false)
+	check("meshGrid(30,1,1,Inf)", meshGrid(30, 1, 1, Inf), 1503, 1470, false)
+	check("meshGrid(8,4,1,1)", meshGrid(8, 4, 1, 1), 129, 58, true)
+	check("meshGrid(12,1,0,Inf)", meshGrid(12, 1, 0, Inf), 170, 0, false)
+	check("meshGrid(10,2,1,3)", meshGrid(10, 2, 1, 3), 212, 260, false)
+	for _, r := range []struct {
+		seed       int64
+		pivots     int
+		cost       float64
+		infeasible bool
+	}{
+		{1, 7, 30, false}, {2, 14, 22, true}, {3, 18, 85, false}, {4, 25, 42, false},
+		{5, 17, 16, false}, {6, 32, 54, true}, {7, 20, 72, false}, {8, 17, 22, false},
+		{9, 11, 8, false}, {10, 13, 133, true}, {11, 5, 14, false}, {12, 25, 69, false},
+		{13, 11, 8, false}, {14, 9, 19, false}, {15, 20, 20, false}, {16, 26, 15, false},
+		{17, 27, 25, false}, {18, 6, 2, false}, {19, 7, 29, false}, {20, 1, 0, true},
+	} {
+		g, _ := buildRandomMCF(r.seed)
+		check(fmt.Sprintf("buildRandomMCF(%d)", r.seed), g, r.pivots, r.cost, r.infeasible)
+	}
+}
+
+// TestNSPivotLoopAllocs guards the allocation-free pivot loop: a solve
+// allocates its arrays once, so its allocation count does not grow with
+// the ~1.5k pivots of this grid.
+func TestNSPivotLoopAllocs(t *testing.T) {
+	const runs = 3
+	// AllocsPerRun makes one extra warm-up call; build every instance
+	// beforehand so only SolveNS is counted.
+	gs := make([]*MinCostFlow, runs+1)
+	for i := range gs {
+		gs[i] = meshGrid(30, 1, 1, Inf)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		g := gs[next]
+		next++
+		if _, err := g.SolveNS(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("SolveNS on meshGrid(30,1,1,Inf) made %.0f allocations, want <= 200", allocs)
 	}
 }
 

@@ -1,6 +1,9 @@
 package flow
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // nsDebugCheck, when set, validates the simplex invariants after every
 // pivot (tests only; quadratic cost).
@@ -72,6 +75,14 @@ func nsValidate(ns *netSimplex, b []float64, pivotNo int) error {
 			return fmt.Errorf("pivot %d: node %d depth %d, parent %d depth %d",
 				pivotNo, v, ns.depth[v], p, ns.depth[p])
 		}
+		want := ns.cost[ai]
+		if ns.predUp[v] {
+			want = -want
+		}
+		if math.Float64bits(ns.predCost[v]) != math.Float64bits(want) {
+			return fmt.Errorf("pivot %d: node %d predCost %g, pred arc %d gives %g",
+				pivotNo, v, ns.predCost[v], ai, want)
+		}
 	}
 	if root < 0 {
 		return fmt.Errorf("pivot %d: no root", pivotNo)
@@ -86,6 +97,58 @@ func nsValidate(ns *netSimplex, b []float64, pivotNo int) error {
 		}
 		if x != root {
 			return fmt.Errorf("pivot %d: node %d does not reach root", pivotNo, v)
+		}
+	}
+	return validateThread(ns, root, pivotNo)
+}
+
+// validateThread checks the thread layout against the parent pointers:
+// thread is one cycle through all nodes from the root, revThread is its
+// inverse, and it is a preorder, with succNum the recomputed subtree sizes
+// and lastSucc the last node of each subtree's thread run.
+func validateThread(ns *netSimplex, root, pivotNo int) error {
+	nn := ns.numNodes
+	pos := make([]int, nn) // thread position, root 0
+	order := make([]int32, 0, nn)
+	for i := range pos {
+		pos[i] = -1
+	}
+	x := int32(root)
+	for i := 0; i < nn; i++ {
+		if pos[x] >= 0 {
+			return fmt.Errorf("pivot %d: thread revisits node %d after %d steps", pivotNo, x, i)
+		}
+		pos[x] = i
+		order = append(order, x)
+		if ns.revThread[ns.thread[x]] != x {
+			return fmt.Errorf("pivot %d: revThread[thread[%d]] = %d", pivotNo, x, ns.revThread[ns.thread[x]])
+		}
+		x = ns.thread[x]
+	}
+	if x != int32(root) {
+		return fmt.Errorf("pivot %d: thread does not close at the root after %d nodes", pivotNo, nn)
+	}
+	size := make([]int32, nn)
+	for v := 0; v < nn; v++ {
+		for y := int32(v); y >= 0; y = ns.parent[y] {
+			size[y]++
+		}
+	}
+	for v := 0; v < nn; v++ {
+		if ns.succNum[v] != size[v] {
+			return fmt.Errorf("pivot %d: node %d succNum %d, subtree has %d nodes", pivotNo, v, ns.succNum[v], size[v])
+		}
+		if want := order[pos[v]+int(size[v])-1]; ns.lastSucc[v] != want {
+			return fmt.Errorf("pivot %d: node %d lastSucc %d, want %d", pivotNo, v, ns.lastSucc[v], want)
+		}
+		// Preorder: every subtree's run lies inside its parent's run,
+		// after the parent itself. With the sizes right, each run is then
+		// exactly its subtree.
+		if p := ns.parent[v]; p >= 0 {
+			if pos[v] <= pos[p] || pos[v]+int(size[v]) > pos[p]+int(size[p]) {
+				return fmt.Errorf("pivot %d: node %d thread run [%d,%d) outside parent %d's run [%d,%d)",
+					pivotNo, v, pos[v], pos[v]+int(size[v]), p, pos[p], pos[p]+int(size[p]))
+			}
 		}
 	}
 	return nil

@@ -251,7 +251,7 @@ func TestPlaceRecordsObservability(t *testing.T) {
 	if rep.QPSolves == 0 || rep.CGIters == 0 {
 		t.Fatalf("QP effort not reported: solves=%d iters=%d", rep.QPSolves, rep.CGIters)
 	}
-	for _, c := range []string{"cg.iters", "ns.pivots", "transport.solves", "transport.augments", "fbp.waves", "legalize.cells"} {
+	for _, c := range []string{"cg.iters", "ns.pivots", "ns.tree_nodes", "transport.solves", "transport.augments", "fbp.waves", "legalize.cells"} {
 		if rec.Counter(c) <= 0 {
 			t.Errorf("counter %q not recorded (got %g)", c, rec.Counter(c))
 		}
