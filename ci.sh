@@ -91,6 +91,20 @@ for workload in incremental flat; do
 			;;
 		esac
 	fi
+	# The realization pair-step count is gated exactly for the same
+	# reason: it is bit-reproducible (seed 0), and a change to it changes
+	# which cells the realization steps move, and with it the placement.
+	case "$workload" in
+	flat) pairpass=989 ;;
+	incremental) pairpass=1964 ;;
+	esac
+	case "$benchline" in
+	*"\"realize.pairpass\":{\"value\":$pairpass,"*) ;;
+	*)
+		echo "benchmark smoke ($workload): realize.pairpass is not $pairpass: $benchline" >&2
+		exit 1
+		;;
+	esac
 done
 
 echo "== fault injection suite =="

@@ -33,7 +33,6 @@ func main() {
 	cluster := flag.Float64("cluster", 0, "BestChoice cluster ratio (0 = off)")
 	density := flag.Float64("density", 0.97, "target placement density")
 	workers := flag.Int("workers", 0, "parallel realization workers (0 = GOMAXPROCS)")
-	noPairPass := flag.Bool("no-pair-pass", false, "disable the neighbor-pair realization pass at deep levels")
 	dumpFlow := flag.Int("dump-flow", 0, "print the MinCostFlow plan on a k x k grid and exit")
 	skipLegal := flag.Bool("skip-legalization", false, "stop after global placement")
 	svg := flag.String("svg", "", "write an SVG rendering of the final placement")
@@ -124,7 +123,7 @@ func main() {
 		cfg := fbplace.Config{
 			Mode: m, Movebounds: mbs, TargetDensity: *density,
 			ClusterRatio: *cluster, Workers: *workers,
-			NoPairPass: *noPairPass, SkipLegalization: *skipLegal, DetailPasses: *detail,
+			SkipLegalization: *skipLegal, DetailPasses: *detail,
 			Obs:        rec,
 			Checkpoint: fbplace.Checkpoint{Dir: *ckptDir},
 		}

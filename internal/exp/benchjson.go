@@ -2,7 +2,6 @@ package exp
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"time"
 
@@ -107,17 +106,4 @@ func WriteBench(path string, rec BenchRecord) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadBench reads a baseline previously written by WriteBench.
-func ReadBench(path string) (BenchRecord, error) {
-	var rec BenchRecord
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rec, err
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return rec, fmt.Errorf("exp: bench file %s: %w", path, err)
-	}
-	return rec, nil
 }

@@ -35,9 +35,9 @@ func benchInstance(numCells, nx, ny int) (*netlist.Netlist, *grid.WindowRegions)
 // + repair) of a solved FBP model, the hot path of every placement level.
 // The MCF model build and solve run outside the timer.
 func BenchmarkRealizeLevel(b *testing.B) {
-	// The deep 32x32 level runs twice: "block" forces the legacy 3x3-block
-	// realization, "pair" the neighbor-pair pass (the default there), to
-	// keep the speedup of the pair pass visible.
+	// The deep 32x32 level runs twice: "block" forces 3x3-block steps (as
+	// safe mode does), "pair" takes the pair steps the grid picks there,
+	// to keep the speedup of the pair steps visible.
 	for _, c := range []struct {
 		cells, nx, ny int
 		mode          string

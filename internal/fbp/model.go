@@ -2,11 +2,13 @@
 // partitioning. A global MinCostFlow model — whose size is linear in the
 // number of windows and regions, independent of the cell count — computes
 // movement directions and amounts; local realization steps (local QP plus
-// transportation partitioning over 3x3 coarse windows, processed in
-// topological order of the flow-carrying external edges) turn the flow
-// into an actual cell-to-region partitioning. The partitioning is feasible
-// for any initial placement whenever a fractional placement with
-// movebounds exists (Theorem 3).
+// transportation partitioning, processed in topological order of the
+// flow-carrying external edges) turn the flow into an actual cell-to-region
+// partitioning. A step covers the 3x3 coarse windows around a window on
+// grids below 16x16, and one neighbor window pair per flow target from
+// there on: pair steps keep the deep levels fast, but cost HPWL on coarse
+// grids. The partitioning is feasible for any initial placement whenever
+// a fractional placement with movebounds exists (Theorem 3).
 package fbp
 
 import (
@@ -49,9 +51,6 @@ type Config struct {
 	// Workers bounds the parallel realization workers; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Density is the target placement density used when capacities were
-	// built; kept for diagnostics only.
-	Density float64
 	// Obs, when non-nil, records phase spans (fbp.build / fbp.solve /
 	// fbp.realize with per-wave children) and solver counters.
 	Obs *obs.Recorder
@@ -65,18 +64,15 @@ type Config struct {
 	// solution). The fallbacks themselves are always on; the log only
 	// makes them visible.
 	Degrade *degrade.Log
-	// PairPass enables the neighbor-pair reoptimization at deep levels:
-	// once the grid has at least PairPassMinWindows windows, a wave unit
-	// realizes its outgoing flow one neighbor window at a time with tiny
-	// two-window transportations instead of one 3x3-block problem whose
-	// size is dominated by neighbors the unit does not even ship to.
-	// Results differ from the block path (both are valid realizations of
-	// the same MCF solution) but stay deterministic across worker counts.
-	// Default true via DefaultConfig.
+	// PairPass lets the grid pick the realization step shape: from 256
+	// windows (16x16 grids) on, a wave unit realizes its outgoing flow one
+	// neighbor window at a time with tiny two-window transportations
+	// instead of one 3x3-block problem whose size is dominated by
+	// neighbors the unit does not even ship to. Without it every level
+	// takes 3x3-block steps (safe mode). Results differ between the two
+	// (both are valid realizations of the same MCF solution) but stay
+	// deterministic across worker counts. Default true via DefaultConfig.
 	PairPass bool
-	// PairPassMinWindows is the window-count threshold that activates the
-	// pair pass; 0 means 256 (grids of 16x16 and finer).
-	PairPassMinWindows int
 	// Check, when non-nil, certifies intermediate solver results: the MCF
 	// solution right after Solve and every realization transportation
 	// right after its engine returns. Failures propagate as the checker's

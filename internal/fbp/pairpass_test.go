@@ -32,11 +32,46 @@ func crowdedNetlist(seed int64, numCells int) *netlist.Netlist {
 	return n
 }
 
+// The grid, not an option, picks the step shape: 3x3-block steps below
+// 256 windows, pair steps from there on, and block steps at every level
+// without Config.PairPass (safe mode).
+func TestPairPassSelectedByWindowCount(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		k        int
+		pairPass bool
+		want     bool
+	}{
+		{"15x15", 15, true, false},
+		{"16x16", 16, true, true},
+		{"16x16/no-pair-pass", 16, false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := clusterNetlist(240, geom.Point{X: 1, Y: 1}, netlist.NoMovebound)
+			wr := build(t, nil, c.k, c.k, 1.0, nil)
+			rec := obs.New(nil)
+			cfg := DefaultConfig()
+			cfg.PairPass = c.pairPass
+			cfg.Obs = rec
+			if _, err := Partition(n, wr, cfg); err != nil {
+				t.Fatal(err)
+			}
+			pairs := rec.Counter("realize.pairpass")
+			if got := pairs > 0; got != c.want {
+				t.Fatalf("realize.pairpass = %v, want pair steps %v", pairs, c.want)
+			}
+			if rec.Counter("fbp.units") == 0 {
+				t.Fatal("no realization units ran")
+			}
+		})
+	}
+}
+
 // The pair pass must stay bit-identical across worker counts: within a
 // wave the pair footprints (window + 4-neighborhood) are disjoint and all
 // cross-footprint reads go through the wave snapshot, so scheduling must
 // not leak into assignments or positions. Exercised on two instances with
-// different movebound pressure.
+// different movebound pressure, on a 16x16 grid (pair steps).
 func TestPairPassDeterministicAcrossWorkers(t *testing.T) {
 	instances := []struct {
 		name  string
@@ -52,12 +87,11 @@ func TestPairPassDeterministicAcrossWorkers(t *testing.T) {
 			base := crowdedNetlist(inst.seed, inst.cells)
 			run := func(workers int) ([]RegionRef, []float64, float64) {
 				n := base.Clone()
-				wr := build(t, inst.mbs, 4, 4, 1.0, nil)
+				wr := build(t, inst.mbs, 16, 16, 1.0, nil)
 				rec := obs.New(nil)
 				cfg := DefaultConfig()
 				cfg.Workers = workers
 				cfg.Obs = rec
-				cfg.PairPassMinWindows = 1 // force pair mode on the 4x4 grid
 				res, err := Partition(n, wr, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -92,12 +126,11 @@ func TestPairPassDeterministicAcrossWorkers(t *testing.T) {
 // assigned, regions respected up to one rounded cell, positions inside
 // the assigned regions.
 func TestPairPassRespectsCapacities(t *testing.T) {
-	wr := build(t, nil, 4, 4, 1.0, nil)
+	wr := build(t, nil, 16, 16, 1.0, nil)
 	n := clusterNetlist(240, geom.Point{X: 1, Y: 1}, netlist.NoMovebound)
 	rec := obs.New(nil)
 	cfg := DefaultConfig()
 	cfg.Obs = rec
-	cfg.PairPassMinWindows = 1
 	res, err := Partition(n, wr, cfg)
 	if err != nil {
 		t.Fatal(err)

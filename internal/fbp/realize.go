@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,9 +116,9 @@ type realizer struct {
 	outgoing [][]int32
 	incoming [][]int32
 
-	// pairMode is set when the pair pass is active for this run (the flag
-	// is on and the grid is at least Config.PairPassMinWindows windows):
-	// wave units realize per neighbor pair instead of per 3x3 block.
+	// pairMode is set when the pair pass is active for this run
+	// (Config.PairPass and at least pairMinWindows windows): wave units
+	// realize per neighbor pair instead of per 3x3 block.
 	pairMode bool
 
 	waves int
@@ -161,6 +162,13 @@ type workerScratch struct {
 	// apply phase of transportBlock may rewrite the window lists while
 	// iterating it.
 	cellBuf []int32
+	// steps, stepWins, stepEdges and targets are the step list of the
+	// current unit and the window, edge and flow-target buffers its steps
+	// slice into (see unitSteps).
+	steps     []step
+	stepWins  []int
+	stepEdges []int32
+	targets   []int
 }
 
 // getScratch borrows a worker scratch from the free list, materializing it
@@ -205,6 +213,23 @@ type unit struct {
 	window  int
 	classes []int
 }
+
+// step is one transportation of a unit: the windows whose cells and sinks
+// it covers, and the unit's external edges it realizes.
+type step struct {
+	windows []int
+	edges   []int32
+}
+
+// pairMinWindows is the window count from which wave units realize per
+// flow target with two-window steps instead of one 3x3-block step. Pair
+// steps are much smaller but repartition fewer cells, which costs quality
+// on coarse grids. Measured on the perfbench chips (2-vCPU VM, HPWL
+// against this rule): pair steps at every level make the 20k-cell flat
+// chip about 1.8x faster but its HPWL 8.5% worse (pairs from 64 windows:
+// +4.8%); block steps at every level make flat 2.0x and incremental
+// (1024 windows only) 2.4x slower for +0.7% and -2.1% HPWL.
+const pairMinWindows = 256
 
 // Partition runs the full flow-based partitioning: model build, MCF solve
 // and realization. It assigns every movable cell to a window-region,
@@ -280,15 +305,8 @@ func Realize(m *Model, cfg Config) (*Result, error) {
 		outgoing:      make([][]int32, m.Classes*W),
 		incoming:      make([][]int32, m.Classes*W),
 	}
-	pairMin := cfg.PairPassMinWindows
-	if pairMin <= 0 {
-		pairMin = 256
-	}
-	r.pairMode = cfg.PairPass && W >= pairMin
-	maxWorkers := cfg.Workers
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
+	r.pairMode = cfg.PairPass && W >= pairMinWindows
+	maxWorkers := r.workers(W)
 	r.scratch = make(chan *workerScratch, maxWorkers)
 	for i := 0; i < maxWorkers; i++ {
 		r.scratch <- nil
@@ -528,18 +546,107 @@ func abs(v int) int {
 	return v
 }
 
-// runWave realizes the outgoing external edges of each unit in the wave,
-// in parallel. Positions of cells outside a unit's block are read from a
-// snapshot taken at wave start, which makes the computation independent of
-// scheduling order.
-func (r *realizer) runWave(wave []unit) error {
+// workers is the worker count of a pool over n items: Config.Workers
+// (GOMAXPROCS when 0), at most n.
+func (r *realizer) workers(n int) int {
 	workers := r.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(wave) {
-		workers = len(wave)
+	if workers > n {
+		workers = n
 	}
+	return workers
+}
+
+// forEach runs fn(i) for every i in [0, n) on a pool of workers
+// goroutines. Errors are collected per item and the first one in item
+// order is returned, so failure reporting is identical across worker
+// counts; workers never exit early and the producer selects on
+// cancellation, so neither the producer nor the workers can leak when an
+// item fails or the context expires. With one worker the items run in
+// order on the caller's goroutine and the first error stops the run.
+func (r *realizer) forEach(n, workers int, fn func(i int) error) error {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	next := make(chan int)
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	var done <-chan struct{}
+	if r.cfg.Ctx != nil {
+		done = r.cfg.Ctx.Done()
+	}
+producer:
+	for i := 0; i < n; i++ {
+		select {
+		case next <- i:
+		case <-done: // nil channel when no context: never selected
+			break producer
+		}
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if r.cfg.Ctx != nil {
+		return r.cfg.Ctx.Err()
+	}
+	return nil
+}
+
+// guard is the worker boundary of both realization phases: it skips work
+// of a canceled run, fires the phase's injection point, converts a
+// panicking unit into a structured *UnitError (no process crash, the
+// worker keeps draining) and attributes errors to their window. It lends
+// fn a worker scratch. The sequential and the parallel pool go through
+// it alike, so panic behavior is identical across worker counts.
+func (r *realizer) guard(w int, phase string, fault *faultsim.Site, fn func(sc *workerScratch) error) (err error) {
+	if r.cfg.Ctx != nil {
+		if cerr := r.cfg.Ctx.Err(); cerr != nil {
+			return cerr
+		}
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			err = &UnitError{
+				Window: w, Phase: phase,
+				Err:   fmt.Errorf("panic: %v", p),
+				Stack: debug.Stack(),
+			}
+		}
+	}()
+	if err := fault.Check(); err != nil {
+		return &UnitError{Window: w, Phase: phase, Err: err}
+	}
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	return wrapUnitErr(w, phase, fn(sc))
+}
+
+// runWave realizes the outgoing external edges of each unit in the wave,
+// in parallel. Positions of cells outside a unit's steps are read from a
+// snapshot taken at wave start, which makes the computation independent of
+// scheduling order.
+func (r *realizer) runWave(wave []unit) error {
+	workers := r.workers(len(wave))
 	// Per-wave span with worker occupancy: busy time of all units over
 	// workers * wall-clock. Timing is gated on the recorder so disabled
 	// runs pay only nil checks.
@@ -571,108 +678,55 @@ func (r *realizer) runWave(wave []unit) error {
 		r.snapY = append(r.snapY[:0], r.n.Y...)
 		snapX, snapY = r.snapX, r.snapY
 	}
-	realize := func(u unit) error {
-		sc := r.getScratch()
-		defer r.putScratch(sc)
+	return r.forEach(len(wave), workers, func(i int) error {
+		u := wave[i]
+		realize := func(sc *workerScratch) error { return r.realizeUnit(u, snapX, snapY, sc) }
 		if r.rec == nil {
-			return r.safeRealize(u, snapX, snapY, sc)
+			return r.guard(u.window, "realize", unitFault, realize)
 		}
 		t0 := time.Now() //fbpvet:allow busy-time gauge for obs, not placement
-		err := r.safeRealize(u, snapX, snapY, sc)
+		err := r.guard(u.window, "realize", unitFault, realize)
 		atomic.AddInt64(&r.busyNS, int64(time.Since(t0))) //fbpvet:allow busy-time gauge for obs, not placement
 		return err
-	}
-	if workers <= 1 {
-		for _, u := range wave {
-			if err := realize(u); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(wave))
-	sem := make(chan struct{}, workers)
-	for i, u := range wave {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, u unit) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = realize(u)
-		}(i, u)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// safeRealize is the worker boundary around realizeUnit: it skips units of
-// a canceled wave, converts a panicking unit into a structured *UnitError
-// (no process crash, the worker keeps draining), and attributes errors to
-// their window. Both the sequential and the parallel path of runWave go
-// through it, so panic behavior is identical across worker counts.
-func (r *realizer) safeRealize(u unit, snapX, snapY []float64, sc *workerScratch) (err error) {
-	if r.cfg.Ctx != nil {
-		if cerr := r.cfg.Ctx.Err(); cerr != nil {
-			return cerr
-		}
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = &UnitError{
-				Window: u.window, Phase: "realize",
-				Err:   fmt.Errorf("panic: %v", p),
-				Stack: debug.Stack(),
-			}
-		}
-	}()
-	if r.pairMode {
-		return wrapUnitErr(u.window, "realize", r.realizeUnitPairs(u, snapX, snapY, sc))
-	}
-	return wrapUnitErr(u.window, "realize", r.realizeUnit(u, snapX, snapY, sc))
+	})
 }
 
 // realizeUnit realizes all outgoing external edges of one window for the
-// unit's classes: local QP over the 3x3 block, then a movebound-aware
-// transportation of all block cells onto the block's regions plus the
-// block's still-unrealized transit capacities (eq. 2).
+// unit's classes (eq. 2): one low-precision local QP over the windows of
+// the unit's steps, then per step a movebound-aware transportation of the
+// step windows' cells onto their regions plus their still-unrealized
+// transit capacities. The grid picks the steps (unitSteps).
+//
+// Pair steps preserve the feasibility invariant of Partition with
+// B = {u, to}: the realized flow fits into the target's regions plus its
+// own unrealized outgoing capacities by flow conservation at the target,
+// and windows of the same topological level never ship to each other.
+// Cells that must leave u towards a later target park at u's remaining
+// transit sinks and are picked up again by that target's pair step.
+// Each step's edge flows are removed from the transit capacities exactly
+// when the step is solved, so the unit realizes exactly its outgoing
+// flow, deterministically.
 func (r *realizer) realizeUnit(un unit, snapX, snapY []float64, sc *workerScratch) error {
-	if err := unitFault.Check(); err != nil {
-		return err
-	}
-	g := r.m.WR.Grid
-	W := g.NumWindows()
 	u := un.window
-	block := g.Block3x3(u)
-
-	// Mark the unit's outgoing edges realized (their flow must move now).
-	for _, cls := range un.classes {
-		for _, ei := range r.outgoing[cls*W+u] {
-			e := &r.m.Externals[ei]
-			r.unrealizedOut[(e.Class*W+e.From)*numDirs+e.FromDir] -= e.Flow
-		}
-	}
-
-	// Collect the block's cells.
-	cells := sc.cellBuf[:0]
-	for _, w := range block {
-		cells = append(cells, r.cellsIn[w]...)
-	}
-	sc.cellBuf = cells
-	if len(cells) == 0 {
-		return nil
-	}
-	// Local QP with everything outside the block fixed (snapshot reads).
+	steps := r.unitSteps(un, sc)
 	if r.cfg.LocalQP {
+		// Local QP with everything outside the steps' windows fixed
+		// (snapshot reads). A block unit has one step, and pair steps are
+		// {u, target} with distinct targets, so the first step's windows
+		// followed by the later steps' targets are all step windows, each
+		// once, in first-seen order.
 		subset := sc.subset[:0]
-		for _, c := range cells {
-			if !r.parked[c] {
-				subset = append(subset, netlist.CellID(c))
+		for si, st := range steps {
+			wins := st.windows
+			if si > 0 {
+				wins = wins[1:]
+			}
+			for _, w := range wins {
+				for _, c := range r.cellsIn[w] {
+					if !r.parked[c] {
+						subset = append(subset, netlist.CellID(c))
+					}
+				}
 			}
 		}
 		sc.subset = subset
@@ -680,14 +734,86 @@ func (r *realizer) realizeUnit(un unit, snapX, snapY []float64, sc *workerScratc
 			return err
 		}
 	}
-	return r.transportBlock(u, block, cells, true, sc)
+	W := r.m.WR.Grid.NumWindows()
+	for _, st := range steps {
+		// Mark the step's edges realized (their flow must move now).
+		for _, ei := range st.edges {
+			e := &r.m.Externals[ei]
+			r.unrealizedOut[(e.Class*W+e.From)*numDirs+e.FromDir] -= e.Flow
+		}
+		cells := sc.cellBuf[:0]
+		for _, w := range st.windows {
+			cells = append(cells, r.cellsIn[w]...)
+		}
+		sc.cellBuf = cells
+		if len(cells) == 0 {
+			continue
+		}
+		if r.pairMode {
+			r.rec.Count("realize.pairpass", 1)
+		}
+		if err := r.transportBlock(u, st.windows, cells, true, sc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// unitSteps lists the transportation steps of a unit, built in the
+// worker scratch. Below pairMinWindows (or without Config.PairPass) it is
+// one step over the 3x3 block carrying all of the unit's outgoing edges.
+// In pair mode it is one step over {u, to} per flow target, in ascending
+// target order, each carrying that target's edges: instead of one
+// transportation whose cell and sink counts are dominated by neighbors
+// the unit does not ship to, the flow moves with tiny two-window ones.
+// Edges keep their class-then-outgoing order within a step.
+func (r *realizer) unitSteps(un unit, sc *workerScratch) []step {
+	g := r.m.WR.Grid
+	W := g.NumWindows()
+	u := un.window
+	steps, wins, edges := sc.steps[:0], sc.stepWins[:0], sc.stepEdges[:0]
+	if !r.pairMode {
+		for _, cls := range un.classes {
+			edges = append(edges, r.outgoing[cls*W+u]...)
+		}
+		steps = append(steps, step{windows: g.Block3x3(u), edges: edges})
+	} else {
+		// Targets are the (at most 4) grid neighbors the unit ships to, so
+		// linear scans group the edges faster than a map would.
+		targets := sc.targets[:0]
+		for _, cls := range un.classes {
+			for _, ei := range r.outgoing[cls*W+u] {
+				if to := r.m.Externals[ei].To; !slices.Contains(targets, to) {
+					targets = append(targets, to)
+				}
+			}
+		}
+		sort.Ints(targets)
+		sc.targets = targets
+		for _, to := range targets {
+			w0, e0 := len(wins), len(edges)
+			wins = append(wins, u, to)
+			for _, cls := range un.classes {
+				for _, ei := range r.outgoing[cls*W+u] {
+					if r.m.Externals[ei].To == to {
+						edges = append(edges, ei)
+					}
+				}
+			}
+			// Earlier steps keep a buffer that a later append outgrew; it
+			// still holds their windows and edges.
+			steps = append(steps, step{windows: wins[w0:len(wins):len(wins)], edges: edges[e0:len(edges):len(edges)]})
+		}
+	}
+	sc.steps, sc.stepWins, sc.stepEdges = steps, wins, edges
+	return steps
 }
 
 // runLocalQP runs the low-precision connectivity QP over the given subset
-// with everything outside fixed to the wave snapshot. The QP only steers
-// the transportation costs, so it runs at low precision; without the caps,
-// coarse levels would solve near-global systems to full CG tolerance once
-// per unit.
+// with everything outside fixed to the wave snapshot (an empty subset is a
+// no-op). The QP only steers the transportation costs, so it runs at low
+// precision; without the caps, coarse levels would solve near-global
+// systems to full CG tolerance once per unit.
 func (r *realizer) runLocalQP(u int, subset []netlist.CellID, snapX, snapY []float64, sc *workerScratch) error {
 	opt := r.cfg.QP
 	opt.ReadX, opt.ReadY = snapX, snapY
@@ -707,106 +833,6 @@ func (r *realizer) runLocalQP(u int, subset []netlist.CellID, snapX, snapY []flo
 	opt.Degrade = r.cfg.Degrade
 	if err := qp.SolveSubset(r.n, subset, nil, opt); err != nil {
 		return fmt.Errorf("fbp: local QP in window %d: %w", u, err)
-	}
-	return nil
-}
-
-// realizeUnitPairs is the neighbor-pair reoptimization of realizeUnit for
-// deep levels: instead of one transportation over the full 3x3 block —
-// whose cell and sink counts are dominated by neighbors the unit does not
-// ship to — the unit's outgoing edges are realized one target window at a
-// time with tiny two-window transportations. One low-precision local QP
-// over the footprint (the unit plus its flow targets) steers all pair
-// costs.
-//
-// Pair steps preserve the feasibility invariant of Partition with
-// B = {u, to}: the realized flow fits into the target's regions plus its
-// own unrealized outgoing capacities by flow conservation at the target,
-// and windows of the same topological level never ship to each other.
-// Cells that must leave u towards a later target park at u's remaining
-// transit sinks and are picked up again by that target's pair step.
-// Targets are processed in ascending window order and each target's edge
-// flows are removed from the transit capacities exactly when its pair is
-// solved, so the pass is deterministic and realizes exactly the unit's
-// outgoing flow.
-func (r *realizer) realizeUnitPairs(un unit, snapX, snapY []float64, sc *workerScratch) error {
-	if err := unitFault.Check(); err != nil {
-		return err
-	}
-	g := r.m.WR.Grid
-	W := g.NumWindows()
-	u := un.window
-
-	// Group the unit's outgoing edges by target window. Targets are the
-	// (at most 4) grid neighbors, so a linear scan groups faster than a
-	// map and stays allocation-free after the first unit.
-	type pairTarget struct {
-		to    int
-		edges []int32
-	}
-	var targets []pairTarget
-	for _, cls := range un.classes {
-		for _, ei := range r.outgoing[cls*W+u] {
-			e := &r.m.Externals[ei]
-			found := false
-			for t := range targets {
-				if targets[t].to == e.To {
-					targets[t].edges = append(targets[t].edges, ei)
-					found = true
-					break
-				}
-			}
-			if !found {
-				targets = append(targets, pairTarget{to: e.To, edges: []int32{ei}})
-			}
-		}
-	}
-	if len(targets) == 0 {
-		return nil
-	}
-	sort.Slice(targets, func(a, b int) bool { return targets[a].to < targets[b].to })
-
-	// One footprint QP (unit + targets) replaces the per-pair QPs.
-	if r.cfg.LocalQP {
-		subset := sc.subset[:0]
-		appendWin := func(w int) {
-			for _, c := range r.cellsIn[w] {
-				if !r.parked[c] {
-					subset = append(subset, netlist.CellID(c))
-				}
-			}
-		}
-		appendWin(u)
-		for _, t := range targets {
-			appendWin(t.to)
-		}
-		sc.subset = subset
-		if len(subset) > 0 {
-			if err := r.runLocalQP(u, subset, snapX, snapY, sc); err != nil {
-				return err
-			}
-		}
-	}
-
-	var pair [2]int
-	for _, t := range targets {
-		// Mark this target's edges realized (their flow must move now).
-		for _, ei := range t.edges {
-			e := &r.m.Externals[ei]
-			r.unrealizedOut[(e.Class*W+e.From)*numDirs+e.FromDir] -= e.Flow
-		}
-		cells := sc.cellBuf[:0]
-		cells = append(cells, r.cellsIn[u]...)
-		cells = append(cells, r.cellsIn[t.to]...)
-		sc.cellBuf = cells
-		if len(cells) == 0 {
-			continue
-		}
-		pair[0], pair[1] = u, t.to
-		r.rec.Count("realize.pairpass", 1)
-		if err := r.transportBlock(u, pair[:], cells, true, sc); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -1073,96 +1099,22 @@ func nearestInSet(rs geom.RectSet, p geom.Point) (geom.Point, bool) {
 
 // finalPass maps the cells of every window onto the window's regions
 // (transit capacities are all realized by now). Windows are independent,
-// so the pass runs on a worker pool; results are deterministic because
-// each window's transportation only touches its own cells. Errors are
-// collected per window and the first one in window order is returned, so
-// failure reporting is identical across worker counts; workers never exit
-// early and the producer selects on cancellation, so neither the producer
-// nor the workers can leak when a window fails or the context expires.
+// so the pass runs on the worker pool; results are deterministic because
+// each window's transportation only touches its own cells.
 func (r *realizer) finalPass() error {
-	g := r.m.WR.Grid
 	var windows []int
-	for w := 0; w < g.NumWindows(); w++ {
+	for w := range r.cellsIn {
 		if len(r.cellsIn[w]) > 0 {
 			windows = append(windows, w)
 		}
 	}
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(windows) {
-		workers = len(windows)
-	}
-	// finalize is the worker boundary of the final pass, mirroring
-	// safeRealize: cancellation check, injection point, panic recovery.
-	finalize := func(w int) (err error) {
-		if r.cfg.Ctx != nil {
-			if cerr := r.cfg.Ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				err = &UnitError{
-					Window: w, Phase: "final",
-					Err:   fmt.Errorf("panic: %v", p),
-					Stack: debug.Stack(),
-				}
-			}
-		}()
-		if err := finalFault.Check(); err != nil {
-			return &UnitError{Window: w, Phase: "final", Err: err}
-		}
-		sc := r.getScratch()
-		defer r.putScratch(sc)
-		return wrapUnitErr(w, "final", r.transportBlock(w, []int{w}, append([]int32(nil), r.cellsIn[w]...), false, sc))
-	}
-	if workers <= 1 {
-		for _, w := range windows {
-			if err := finalize(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(windows))
-	next := make(chan int)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = finalize(windows[i])
-			}
-		}()
-	}
-	var done <-chan struct{}
-	if r.cfg.Ctx != nil {
-		done = r.cfg.Ctx.Done()
-	}
-producer:
-	for i := range windows {
-		select {
-		case next <- i:
-		case <-done: // nil channel when no context: never selected
-			break producer
-		}
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if r.cfg.Ctx != nil {
-		if err := r.cfg.Ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.forEach(len(windows), r.workers(len(windows)), func(i int) error {
+		w := windows[i]
+		return r.guard(w, "final", finalFault, func(sc *workerScratch) error {
+			sc.cellBuf = append(sc.cellBuf[:0], r.cellsIn[w]...)
+			return r.transportBlock(w, []int{w}, sc.cellBuf, false, sc)
+		})
+	})
 }
 
 // repairOverflow relocates cells from regions whose rounded usage exceeds

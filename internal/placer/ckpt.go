@@ -180,7 +180,9 @@ func configFingerprint(cfg *Config) uint64 {
 	w(uint64(cfg.MaxLevels))
 	wf(cfg.AnchorWeight)
 	wb(cfg.NoLocalQP)
-	wb(cfg.NoPairPass)
+	// Former NoPairPass slot: the trajectory did not change when the knob
+	// went, so fingerprints (checkpoints, result-cache keys) stay valid.
+	wb(false)
 	wb(cfg.SafeMode)
 	wb(cfg.SkipLegalization)
 	wb(cfg.KeepPlacement)

@@ -397,3 +397,23 @@ func snapGen(t *testing.T, dir string) uint64 {
 	}
 	return info.Gen
 }
+
+// Fingerprints key checkpoints and the serve result cache, so a change
+// that keeps the placement trajectory must keep them too. These values
+// are pinned from before the NoPairPass knob was removed (its slot now
+// hashes a constant false).
+func TestConfigFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"zero", Config{}, 0xd67e0f5619038371},
+		{"incremental", Config{KeepPlacement: true, MaxLevels: 5}, 0x8559250fc29b9ac1},
+		{"safe", Config{SafeMode: true}, 0x68937617f5a689b0},
+	} {
+		if got := ConfigFingerprint(&c.cfg); got != c.want {
+			t.Errorf("%s: fingerprint %016x, want %016x", c.name, got, c.want)
+		}
+	}
+}

@@ -92,10 +92,6 @@ type Config struct {
 	// local QP is on by default; set NoLocalQP for the ablation or to
 	// trade quality for speed.
 	NoLocalQP bool
-	// NoPairPass disables the neighbor-pair realization pass at deep
-	// levels (many small windows) and forces the legacy 3x3-block
-	// transports everywhere. The pair pass is on by default.
-	NoPairPass bool
 	// SkipLegalization stops after global placement.
 	SkipLegalization bool
 	// KeepPlacement starts from the current cell positions instead of a
@@ -134,9 +130,10 @@ type Config struct {
 	// certify.fail/certify.repair counters. A repair that fails
 	// certification again propagates the *certify.Error to the caller.
 	Certify CertifyMode
-	// SafeMode forces the conservative engine set everywhere: no pair
-	// pass, one worker. Repair runs set it through SafeConfig; callers
-	// may too, to reproduce exactly what a repair would compute.
+	// SafeMode forces the conservative engine set everywhere: 3x3-block
+	// realization steps at every level, one worker. Repair runs set it
+	// through SafeConfig; callers may too, to reproduce exactly what a
+	// repair would compute.
 	SafeMode bool
 }
 
@@ -592,15 +589,7 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 				return fmt.Errorf("placer: recursive partition level %d: %w", lv, err)
 			}
 		default:
-			fcfg := fbp.Config{
-				LocalQP:  !cfg.NoLocalQP,
-				PairPass: !cfg.NoPairPass && !cfg.SafeMode,
-				QP:       cfg.QP,
-				Workers:  cfg.Workers,
-				Obs:      cfg.Obs,
-				Ctx:      ctx,
-				Degrade:  dl,
-			}
+			fcfg := fbpConfig(ctx, cfg, dl)
 			var checker *certify.Checker
 			if cfg.Certify == CertifyEveryLevel {
 				checker = &certify.Checker{Obs: cfg.Obs, Ctx: ctx, Level: lv}
@@ -635,9 +624,8 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 				cfg.Obs.Count("certify.repair", 1)
 				copy(n.X, lvlX)
 				copy(n.Y, lvlY)
-				safe := fcfg
-				safe.PairPass = false
-				safe.Workers = 1
+				safe := fbpConfig(ctx, SafeConfig(cfg), dl)
+				safe.Check = fcfg.Check
 				res, err = partition(safe)
 			}
 			if err != nil {
@@ -669,6 +657,22 @@ func globalLoop(ctx context.Context, n *netlist.Netlist, decomp *region.Decompos
 		cfg.Obs.Beat("level.boundary")
 	}
 	return nil
+}
+
+// fbpConfig is the partitioning configuration of one FBP level. The
+// normal level, the level-local repair (with SafeConfig(cfg)) and a
+// whole-run SafeConfig rerun all build it here, so safe mode selects the
+// same engines everywhere: 3x3-block steps at every level, one worker.
+func fbpConfig(ctx context.Context, cfg Config, dl *degrade.Log) fbp.Config {
+	return fbp.Config{
+		LocalQP:  !cfg.NoLocalQP,
+		PairPass: !cfg.SafeMode,
+		QP:       cfg.QP,
+		Workers:  cfg.Workers,
+		Obs:      cfg.Obs,
+		Ctx:      ctx,
+		Degrade:  dl,
+	}
 }
 
 // recursivePartition is the ablation baseline: each window partitions its

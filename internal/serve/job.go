@@ -72,14 +72,13 @@ type Knobs struct {
 	// Mode is "fbp" (default) or "recursive".
 	Mode string `json:"mode,omitempty"`
 	// TargetDensity, ClusterRatio, MaxLevels, DetailPasses,
-	// SkipLegalization, NoLocalQP and NoPairPass mirror placer.Config.
+	// SkipLegalization and NoLocalQP mirror placer.Config.
 	TargetDensity    float64 `json:"target_density,omitempty"`
 	ClusterRatio     float64 `json:"cluster_ratio,omitempty"`
 	MaxLevels        int     `json:"max_levels,omitempty"`
 	DetailPasses     int     `json:"detail_passes,omitempty"`
 	SkipLegalization bool    `json:"skip_legalization,omitempty"`
 	NoLocalQP        bool    `json:"no_local_qp,omitempty"`
-	NoPairPass       bool    `json:"no_pair_pass,omitempty"`
 }
 
 // SpecError reports a structurally invalid job submission.
@@ -104,7 +103,6 @@ func (k Knobs) config(mbs []region.Movebound) (placer.Config, error) {
 		DetailPasses:     k.DetailPasses,
 		SkipLegalization: k.SkipLegalization,
 		NoLocalQP:        k.NoLocalQP,
-		NoPairPass:       k.NoPairPass,
 		Movebounds:       mbs,
 	}
 	switch k.Mode {

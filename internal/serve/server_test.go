@@ -375,6 +375,7 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 		{"unknown job cancel", "POST", "/jobs/nope/cancel", "", http.StatusNotFound, "unknown_job"},
 		{"bad spec field", "POST", "/jobs", `{"bogus_field":1}`, http.StatusBadRequest, "bad_spec"},
 		{"bad spec mode", "POST", "/jobs", `{"knobs":{"mode":"annealing"},"chip":{"NumCells":10}}`, http.StatusBadRequest, "bad_spec"},
+		{"removed knob", "POST", "/jobs", `{"knobs":{"no_pair_pass":true}}`, http.StatusBadRequest, "bad_spec"},
 	}
 	for _, tc := range cases {
 		var resp *http.Response
