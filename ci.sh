@@ -94,14 +94,24 @@ for workload in incremental flat; do
 	# The realization pair-step count is gated exactly for the same
 	# reason: it is bit-reproducible (seed 0), and a change to it changes
 	# which cells the realization steps move, and with it the placement.
+	# So is the transport solve count: every realization step, final-pass
+	# window and legalization partition is one solve, so a retried solve
+	# fails here.
 	case "$workload" in
-	flat) pairpass=989 ;;
-	incremental) pairpass=1964 ;;
+	flat) pairpass=963 solves=1918 ;;
+	incremental) pairpass=2000 solves=2548 ;;
 	esac
 	case "$benchline" in
 	*"\"realize.pairpass\":{\"value\":$pairpass,"*) ;;
 	*)
 		echo "benchmark smoke ($workload): realize.pairpass is not $pairpass: $benchline" >&2
+		exit 1
+		;;
+	esac
+	case "$benchline" in
+	*"\"transport.solves\":{\"value\":$solves,"*) ;;
+	*)
+		echo "benchmark smoke ($workload): transport.solves is not $solves: $benchline" >&2
 		exit 1
 		;;
 	esac

@@ -9,10 +9,6 @@
 // Tables: 1 (FBP sizes/runtimes), 2 (no movebounds), 3 (instance
 // characteristics), 4 (inclusive movebounds), 5 (exclusive movebounds),
 // 6 (runtime split), 7 (ISPD-2006-style), speedup, ablation, feasibility.
-//
-// Every run that produces HPWL numbers also writes a machine-readable
-// baseline (per-table HPWL and phase times) for regression diffing; see
-// -bench-out.
 package main
 
 import (
@@ -32,7 +28,6 @@ func main() {
 	chips := flag.Int("chips", 0, "limit the number of chips for table 2 (0 = all 21)")
 	trace := flag.String("trace", "", "write a JSON-lines trace of the runs to this file")
 	stats := flag.Bool("stats", false, "print the phase summary tree and counters at the end")
-	benchOut := flag.String("bench-out", "BENCH_baseline.json", "write per-table HPWL/phase-time baseline JSON here (empty = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per table (0 = none); a table that exceeds it fails with context.DeadlineExceeded")
 	ckpt := flag.String("checkpoint", "", "write per-run crash-safe placement checkpoints under this directory")
 	resume := flag.Bool("resume", false, "resume interrupted placements from -checkpoint (same tables, scale and flags required)")
@@ -86,7 +81,6 @@ func main() {
 		os.Exit(1)
 	}
 	ran := false
-	bench := exp.BenchRecord{Scale: *scale, Tables: map[string]exp.BenchTable{}}
 
 	if run("1") {
 		ran = true
@@ -98,7 +92,6 @@ func main() {
 		}
 		exp.PrintTable1(os.Stdout, spec, rows)
 		fmt.Fprintln(os.Stdout)
-		bench.Tables["1"] = exp.BenchFromTable1(spec, rows)
 	}
 	if run("2") {
 		ran = true
@@ -110,7 +103,6 @@ func main() {
 		}
 		exp.PrintCompare(os.Stdout, "TABLE II: Results without movebounds (RQL-style baseline vs BonnPlace FBP)", rows, false)
 		fmt.Fprintln(os.Stdout)
-		bench.Tables["2"] = exp.BenchFromCompare(rows)
 	}
 	if run("3") {
 		ran = true
@@ -131,7 +123,6 @@ func main() {
 		if err != nil {
 			fail("4", err)
 		}
-		bench.Tables["4"] = exp.BenchFromCompare(t4)
 	}
 	if run("4") {
 		exp.PrintCompare(os.Stdout, "TABLE IV: Results with inclusive movebounds", t4, true)
@@ -152,7 +143,6 @@ func main() {
 		}
 		exp.PrintCompare(os.Stdout, "TABLE V: Results with exclusive movebounds", rows, true)
 		fmt.Fprintln(os.Stdout)
-		bench.Tables["5"] = exp.BenchFromCompare(rows)
 	}
 	if run("6") {
 		exp.PrintTable6(os.Stdout, t4)
@@ -168,7 +158,6 @@ func main() {
 		}
 		exp.PrintTable7(os.Stdout, rows)
 		fmt.Fprintln(os.Stdout)
-		bench.Tables["7"] = exp.BenchFromTable7(rows)
 	}
 	if run("speedup") {
 		ran = true
@@ -223,12 +212,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stdout, "wrote %s\n", *trace)
-	}
-	if *benchOut != "" && len(bench.Tables) > 0 {
-		if err := exp.WriteBench(*benchOut, bench); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stdout, "wrote %s\n", *benchOut)
 	}
 }
 

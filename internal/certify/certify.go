@@ -184,10 +184,11 @@ func (c *Checker) Flow(g *flow.MinCostFlow) error {
 
 // Transport certifies a transportation solution against its instance:
 // every source ships exactly its supply (row conservation), every sink
-// stays within the capacity the instance was solved with (column
-// feasibility), portions ride admissible arcs only, and no cheaper plan
-// exists (optimality). Counters, not spans: the check runs once per
-// realization transportation, from concurrent workers.
+// stays within its capacity plus its reported overflow (column
+// feasibility), the reported overflow is exactly each sink's excess,
+// portions ride admissible arcs only, and no plan is cheaper at the
+// instance's overflow price (optimality). Counters, not spans: the check
+// runs once per realization transportation, from concurrent workers.
 func (c *Checker) Transport(p *transport.Problem, sol *transport.Solution) error {
 	if c.Obs != nil {
 		c.Obs.Count("certify.transport", 1)
@@ -226,23 +227,36 @@ func (c *Checker) Transport(p *transport.Problem, sol *transport.Solution) error
 				"source %d ships %g of supply %g", i, shipped, p.Supply[i]))
 		}
 	}
+	if len(sol.Overflow) != len(p.Capacity) {
+		return c.fail("transport", "overflow-shape", fmt.Sprintf(
+			"%d overflows for %d sinks", len(sol.Overflow), len(p.Capacity)))
+	}
 	for j, l := range load {
-		if l > p.Capacity[j]+1e-6*math.Max(1, p.Capacity[j]) {
+		over, tol := sol.Overflow[j], 1e-6*math.Max(1, p.Capacity[j])
+		if l > p.Capacity[j]+over+tol {
 			return c.fail("transport", "column-feasibility", fmt.Sprintf(
-				"sink %d loaded %g over capacity %g", j, l, p.Capacity[j]))
+				"sink %d loaded %g over capacity %g plus overflow %g", j, l, p.Capacity[j], over))
+		}
+		// A negative overflow differs from every excess, which is >= 0.
+		if excess := math.Max(0, l-p.Capacity[j]); math.Abs(over-excess) > tol {
+			return c.fail("transport", "overflow-match", fmt.Sprintf(
+				"sink %d reports overflow %g, its excess is %g", j, over, excess))
 		}
 	}
 	return c.transportOptimal(p, sol, load)
 }
 
 // transportOptimal certifies that no cheaper plan exists, from the instance
-// and the plan alone. Its residual graph, condensed to the k sinks, has an
-// edge a->b weighing the cheapest reassignment c(i,b) - c(i,a) of any
-// source i with a portion at a. A super-sink T = k is reached at weight 0
-// from every sink with slack and reaches every loaded sink at weight 0. The
-// plan is optimal iff no cycle is negative; a negative cycle through T is a
-// negative path from a loaded sink into one with slack. Bellman-Ford over
-// the k+1 nodes finds such a cycle when relaxations go on past k rounds.
+// and the plan alone, where overflow costs the instance's overflow price M
+// per unit. Its residual graph, condensed to the k sinks, has an edge a->b
+// weighing the cheapest reassignment c(i,b) - c(i,a) of any source i with
+// a portion at a. A super-sink T = k is reached from every sink, at weight
+// 0 with slack and at M otherwise; it reaches every overflowing sink at -M
+// and every other loaded sink at 0. The plan is optimal iff no cycle is
+// negative; a negative cycle through T is a path from a loaded sink into
+// one with slack that is negative, or that costs less than M while it
+// starts at an overflowing sink. Bellman-Ford over the k+1 nodes finds
+// such a cycle when relaxations go on past k rounds.
 func (c *Checker) transportOptimal(p *transport.Problem, sol *transport.Solution, load []float64) error {
 	k := len(p.Capacity)
 	t, inf := k, math.Inf(1)
@@ -274,11 +288,17 @@ func (c *Checker) transportOptimal(p *transport.Problem, sol *transport.Solution
 			cost[arc.Sink] = inf
 		}
 	}
+	price := p.OverflowPrice()
 	for j, l := range load {
-		if tol := 1e-6 * math.Max(1, p.Capacity[j]); p.Capacity[j]-l > tol {
+		tol := 1e-6 * math.Max(1, p.Capacity[j])
+		w[j*(k+1)+t] = price
+		if p.Capacity[j]-l > tol {
 			w[j*(k+1)+t] = 0
 		}
-		if l > flow.Eps {
+		switch {
+		case sol.Overflow[j] > tol:
+			w[t*(k+1)+j] = -price
+		case l > flow.Eps:
 			w[t*(k+1)+j] = 0
 		}
 	}

@@ -197,6 +197,28 @@ func TestTransportViolations(t *testing.T) {
 			// Half of source 0 moves to sink 1 while sink 0 keeps slack (cost 8).
 			sol.Assign[0] = []transport.Portion{{Sink: 0, Amount: 1}, {Sink: 1, Amount: 1}}
 		}), "transport", "optimality"},
+		{"overflow with a slack sink in reach", func(_ *testing.T, c *certify.Checker) error {
+			// The plan overflows sink 0 by 1 to save a movement cost of 1,
+			// far less than the overflow price: sink 1 has room.
+			p := &transport.Problem{
+				Supply:   []float64{2},
+				Capacity: []float64{1, 5},
+				Arcs:     [][]transport.Arc{{{Sink: 0, Cost: 0}, {Sink: 1, Cost: 1}}},
+			}
+			return c.Transport(p, &transport.Solution{
+				Assign:   [][]transport.Portion{{{Sink: 0, Amount: 2}}},
+				Overflow: []float64{1, 0},
+			})
+		}, "transport", "optimality"},
+		{"overflow missing", transportWitness(func(_ *transport.Problem, sol *transport.Solution) {
+			sol.Overflow = nil
+		}), "transport", "overflow-shape"},
+		{"negative overflow", transportWitness(func(_ *transport.Problem, sol *transport.Solution) {
+			sol.Overflow[1] = -1
+		}), "transport", "overflow-match"},
+		{"overflow overstated", transportWitness(func(_ *transport.Problem, sol *transport.Solution) {
+			sol.Overflow[2] = 0.5
+		}), "transport", "overflow-match"},
 	})
 }
 

@@ -483,3 +483,36 @@ func TestWrapUnitErr(t *testing.T) {
 		t.Fatalf("UnitError was double-wrapped: %v", again)
 	}
 }
+
+// TestOverloadedStepSolvedOnce widens the cells of a one-window chip after
+// its model is solved, so the window's transportation holds 300 area for
+// 256 capacity. The step must be solved once, with the excess shipped as
+// priced overflow, and that excess, which repairOverflow has nowhere to
+// relocate, must reach Result.RoundingOverflow.
+func TestOverloadedStepSolvedOnce(t *testing.T) {
+	wr := build(t, nil, 1, 1, 1.0, nil)
+	n := clusterNetlist(200, geom.Point{X: 8, Y: 8}, netlist.NoMovebound)
+	m := BuildModel(n, wr, wr.Grid.AssignCells(n))
+	if err := m.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range n.Cells {
+		n.Cells[i].Width = 1.5
+	}
+	rec := obs.New(nil)
+	cfg := DefaultConfig()
+	cfg.Obs = rec
+	res, err := Realize(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Counter("transport.solves"); got != 1 {
+		t.Fatalf("transport.solves = %v, want 1", got)
+	}
+	if got := rec.Counter("transport.overflow"); math.Abs(got-44) > 1e-6 {
+		t.Fatalf("transport.overflow = %v, want 44", got)
+	}
+	if math.Abs(res.RoundingOverflow-44) > 1e-6 {
+		t.Fatalf("RoundingOverflow = %v, want 44", res.RoundingOverflow)
+	}
+}

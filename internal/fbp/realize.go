@@ -257,8 +257,10 @@ const pairMinWindows = 256
 // are realized before its outgoing ones, so after the last unit
 // unrealizedOut == 0 everywhere and the final per-window transportation
 // (cells -> regions) is feasible. Majority rounding perturbs the
-// invariant by at most a cell per sink; the capacity-aware rounding, the
-// relaxation ladder and repairOverflow bound and then remove that drift.
+// invariant by at most a cell per sink; a transportation that the drift
+// overloads ships the excess as priced overflow (transport package doc),
+// and the capacity-aware rounding and repairOverflow bound and then
+// remove that drift.
 func Partition(n *netlist.Netlist, wr *grid.WindowRegions, cfg Config) (*Result, error) {
 	bsp := cfg.Obs.StartSpan("fbp.build")
 	assign := wr.Grid.AssignCells(n)
@@ -945,9 +947,14 @@ func (r *realizer) transportBlock(u int, block []int, cells []int32, allowTransi
 			arcs[i] = append(arcs[i], transport.Arc{Sink: si, Cost: cost})
 		}
 	}
-	sol, err := r.solveWithRelaxation(prob)
+	sol, err := transport.Solve(prob)
 	if err != nil {
 		return fmt.Errorf("fbp: transportation in block of window %d: %w", u, err)
+	}
+	if r.cfg.Check != nil {
+		if err := r.cfg.Check.Transport(prob, sol); err != nil {
+			return err
+		}
 	}
 	rounded := roundCapacityAware(prob, sol)
 	// Apply: move cells between windows, set positions and assignments.
@@ -1040,44 +1047,6 @@ func roundCapacityAware(p *transport.Problem, sol *transport.Solution) []int {
 		remaining[best] -= s.size
 	}
 	return out
-}
-
-// solveWithRelaxation retries an infeasible transportation with gently
-// inflated capacities: majority rounding of earlier steps can overfill a
-// block by a few cells' area. The inflation ladder keeps the violation
-// bounded and is recorded by the caller via Result.RoundingOverflow.
-// Every rung runs transport.Solve, the condensed engine with its
-// reference-engine fallback.
-func (r *realizer) solveWithRelaxation(p *transport.Problem) (*transport.Solution, error) {
-	factors := []float64{1, 1.001, 1.02, 1.1, 1.5, 4, 64}
-	base := append([]float64(nil), p.Capacity...)
-	var lastErr error
-	for _, f := range factors {
-		for i := range p.Capacity {
-			p.Capacity[i] = base[i] * f
-		}
-		sol, err := transport.Solve(p)
-		if err == nil {
-			if r.cfg.Check != nil {
-				// Certify against the capacities the rung actually solved
-				// with (still inflated here; restored below either way).
-				if cerr := r.cfg.Check.Transport(p, sol); cerr != nil {
-					copy(p.Capacity, base)
-					return nil, cerr
-				}
-			}
-			copy(p.Capacity, base)
-			return sol, nil
-		}
-		lastErr = err
-		if !errors.Is(err, transport.ErrInfeasible) {
-			// Cancellation or an engine failure: inflating capacities
-			// cannot help, so climbing the ladder would only repeat it.
-			break
-		}
-	}
-	copy(p.Capacity, base)
-	return nil, lastErr
 }
 
 // nearestInSet returns the point of the rectangle set closest (L1) to p.

@@ -433,23 +433,12 @@ func LegalizeWithMovebounds(n *netlist.Netlist, d *region.Decomposition, opt Opt
 			prob.Arcs[i] = append(prob.Arcs[i], transport.Arc{Sink: ri, Cost: best})
 		}
 	}
+	// Dense instances may need more than the packable capacity: regions
+	// the plan overfills shed their excess through the spill pass below.
 	sol, err := transport.Solve(prob)
 	if err != nil {
-		// Dense instances may genuinely need the full capacity: relax the
-		// headroom step by step before giving up. Overfilled regions shed
-		// their excess through the spill pass below.
-		for _, f := range []float64{1.1, 1.4, 2.5, 8} {
-			for ri := range prob.Capacity {
-				prob.Capacity[ri] = caps[ri] * f
-			}
-			if sol, err = transport.Solve(prob); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			psp.End()
-			return Result{}, fmt.Errorf("legalize: region partitioning: %w", err)
-		}
+		psp.End()
+		return Result{}, fmt.Errorf("legalize: region partitioning: %w", err)
 	}
 	psp.End()
 	ksp := opt.Obs.StartSpan("legalize.pack")

@@ -4,7 +4,7 @@
 // provided: the paper's flow-based partitioning (fbp) and the classical
 // recursive window-by-window quadrisection it improves upon ([5],[17],[27]
 // — the ablation baseline), which lacks the global view and may have to
-// relax capacities locally.
+// overfill windows locally.
 package placer
 
 import (
@@ -21,6 +21,7 @@ import (
 	"fbplace/internal/detail"
 	"fbplace/internal/faultsim"
 	"fbplace/internal/fbp"
+	"fbplace/internal/flow"
 	"fbplace/internal/geom"
 	"fbplace/internal/grid"
 	"fbplace/internal/legalize"
@@ -221,7 +222,9 @@ type Report struct {
 	// axes. Realization-local QP effort is reported per level in
 	// FBPStats instead.
 	QPSolves, CGIters int64
-	// Relaxations counts capacity relaxations of the recursive baseline.
+	// Relaxations counts the windows the recursive baseline partitions
+	// over capacity, plus the cells it teleports out of windows without an
+	// admissible region.
 	Relaxations int
 	// LegalizeResult carries movement statistics.
 	LegalizeResult legalize.Result
@@ -677,8 +680,9 @@ func fbpConfig(ctx context.Context, cfg Config, dl *degrade.Log) fbp.Config {
 
 // recursivePartition is the ablation baseline: each window partitions its
 // own cells among its regions independently, with no global flow. When a
-// window is overloaded the capacities are relaxed locally (returned count),
-// which is exactly the drawback §IV attributes to recursive approaches.
+// window is overloaded its plan overfills regions (returned count, with
+// the escape teleports), which is exactly the drawback §IV attributes to
+// recursive approaches.
 func recursivePartition(n *netlist.Netlist, wr *grid.WindowRegions, rec *obs.Recorder) (int, error) {
 	g := wr.Grid
 	assign := g.AssignCells(n)
@@ -763,21 +767,11 @@ func recursivePartition(n *netlist.Netlist, wr *grid.WindowRegions, rec *obs.Rec
 		}
 		sol, err := transport.Solve(prob)
 		if err != nil {
-			// Local relaxation: inflate capacities until it fits. This is
-			// the failure mode of recursive partitioning the paper fixes.
-			relaxed := false
-			for _, f := range []float64{1.5, 4, 64, 1e9} {
-				for k := range regs {
-					prob.Capacity[k] = math.Max(regs[k].Capacity, 1e-9) * f
-				}
-				if sol, err = transport.Solve(prob); err == nil {
-					relaxed = true
-					break
-				}
-			}
-			if !relaxed {
-				return relaxations, fmt.Errorf("window %d: %w", w, err)
-			}
+			return relaxations, fmt.Errorf("window %d: %w", w, err)
+		}
+		if sol.TotalOverflow() > flow.Eps {
+			// Overfilling a window is the failure mode of recursive
+			// partitioning the paper fixes.
 			relaxations++
 		}
 		rounded := sol.Rounded()

@@ -4,20 +4,39 @@
 // minimum total cost, where inadmissible pairs (movebound does not cover
 // the region) are simply absent from the arc lists.
 //
+// Capacity overflow is priced, not forbidden. Every sink accepts area
+// beyond its capacity at the overflow price M per unit, so every instance
+// whose sources each have an admissible sink has an optimal plan, and
+// Solve returns it in one solve: the plan of least movement cost +
+// M·overflow. M is derived from the instance (Problem.OverflowPrice):
+//
+//	M = 1 + (k+1)·maxArcCost
+//
+// for k sinks. Reassigning a source changes its cost by at most maxArcCost
+// (costs are >= 0), and a simple reassignment path visits each sink once,
+// so every route from an overloaded sink to one with slack costs less than
+// M. An optimal plan therefore minimizes the total overflow first and the
+// movement cost second; a plan that overflows while capacity is reachable
+// is never optimal. Solution.Overflow reports the excess per sink and
+// Solution.Cost the movement cost alone. ErrInfeasible is left for a
+// source with no admissible sink.
+//
 // Two engines are provided:
 //
 //   - Reference: successive shortest paths on the full bipartite network
-//     (flow.MinCostFlow). Exact, simple, used for small instances and as
-//     the test oracle.
+//     (flow.MinCostFlow) plus one overflow node that every sink reaches at
+//     cost M. Exact, simple, used as the fallback and the test oracle.
 //   - Condensed: the production engine, Brenner's fast transportation
 //     algorithm [4]. It starts from the optimal pseudoflow that sends every
 //     source to its cheapest admissible sink and then cancels sink
 //     overloads along shortest paths in a condensed graph whose nodes are
-//     the sinks only. Each condensed arc a->b is the cheapest reassignment
-//     of any source currently at a to b, kept in a lazily deleted heap per
-//     sink pair. Dijkstra on weights reduced by sink potentials finds each
-//     path, so an augmentation costs O(k^2 + moved sources * log n) for k
-//     sinks, independent of the number of cells.
+//     the sinks only, plus a super-sink T that a sink with slack reaches at
+//     weight 0 and any other sink through an overflow edge at weight M.
+//     Each condensed arc a->b is the cheapest reassignment of any source
+//     currently at a to b, kept in a lazily deleted heap per sink pair.
+//     Dijkstra on weights reduced by sink potentials finds each path, so an
+//     augmentation costs O(k^2 + moved sources * log n) for k sinks,
+//     independent of the number of cells.
 //
 // Solutions are fractional in general but almost integral: at most k-1
 // sources are split (a vertex of the transportation polytope). Rounded()
@@ -56,16 +75,16 @@ type Arc struct {
 }
 
 // Problem is a transportation instance. Sources ship their full Supply;
-// sinks accept at most Capacity. Total supply must not exceed the total
-// capacity reachable by each subset of sources (otherwise Solve returns
-// ErrInfeasible).
+// sinks accept Capacity at movement cost and any excess at the overflow
+// price (see the package doc).
 type Problem struct {
 	Supply   []float64 // per source, > 0
 	Capacity []float64 // per sink, >= 0
 	Arcs     [][]Arc   // Arcs[i] lists admissible sinks of source i
 	// Obs, when non-nil, records the counters "transport.solves",
 	// "transport.sources", "transport.augments" (condensed-engine
-	// augmentations) and "transport.splits" per Solve call.
+	// augmentations), "transport.splits" and "transport.overflow" (total
+	// overflow area) per Solve call.
 	Obs *obs.Recorder
 	// Ctx, when non-nil, is polled during the solve; a canceled or expired
 	// context aborts with the context's error (no fallback: cancellation
@@ -83,6 +102,18 @@ func (p *Problem) NumSources() int { return len(p.Supply) }
 // NumSinks returns the number of sinks.
 func (p *Problem) NumSinks() int { return len(p.Capacity) }
 
+// OverflowPrice returns M = 1 + (k+1)·maxArcCost, the cost per unit of
+// area a sink accepts beyond its capacity.
+func (p *Problem) OverflowPrice() float64 {
+	maxCost := 0.0
+	for _, arcs := range p.Arcs {
+		for _, a := range arcs {
+			maxCost = math.Max(maxCost, a.Cost)
+		}
+	}
+	return 1 + float64(p.NumSinks()+1)*maxCost
+}
+
 // Portion is a fractional assignment of a source to a sink.
 type Portion struct {
 	Sink   int
@@ -93,12 +124,13 @@ type Portion struct {
 type Solution struct {
 	// Assign[i] lists the portions of source i, largest first.
 	Assign [][]Portion
-	// Cost is the total cost of the plan.
+	// Cost is the movement cost of the plan; overflow is not priced in.
 	Cost float64
+	// Overflow[j] is the area sink j receives beyond its capacity.
+	Overflow []float64
 }
 
-// ErrInfeasible reports that some supply cannot reach any sink with
-// remaining capacity.
+// ErrInfeasible reports a source with no admissible sink.
 var ErrInfeasible = errors.New("transport: infeasible instance")
 
 // Rounded returns, per source, the sink receiving the largest portion.
@@ -115,6 +147,15 @@ func (s *Solution) Rounded() []int {
 	return out
 }
 
+// TotalOverflow returns the area shipped beyond capacity over all sinks.
+func (s *Solution) TotalOverflow() float64 {
+	total := 0.0
+	for _, o := range s.Overflow {
+		total += o
+	}
+	return total
+}
+
 // NumSplit returns the number of sources assigned to more than one sink —
 // by almost-integrality this is at most (number of sinks - 1).
 func (s *Solution) NumSplit() int {
@@ -128,19 +169,23 @@ func (s *Solution) NumSplit() int {
 }
 
 // SolveReference solves the instance exactly with the generic min-cost
-// flow solver. Intended for tests and small instances.
+// flow solver. Overflow runs through one extra node O that absorbs the
+// total supply and that every sink reaches at the overflow price.
+// Intended for tests and small instances.
 func SolveReference(p *Problem) (*Solution, error) {
 	if err := referenceFault.Check(); err != nil {
 		return nil, fmt.Errorf("transport: reference engine: %w", err)
 	}
 	n, k := p.NumSources(), p.NumSinks()
-	g := flow.NewMinCostFlow(n + k)
+	g := flow.NewMinCostFlow(n + k + 1)
 	g.Ctx = p.Ctx
+	total := 0.0
 	for i, s := range p.Supply {
 		if s <= 0 {
 			return nil, fmt.Errorf("transport: source %d has non-positive supply %g", i, s)
 		}
 		g.SetSupply(i, s)
+		total += s
 	}
 	for j, c := range p.Capacity {
 		g.SetSupply(n+j, -c)
@@ -152,6 +197,12 @@ func SolveReference(p *Problem) (*Solution, error) {
 			ids[i][t] = g.AddArc(i, n+a.Sink, flow.Inf, a.Cost)
 		}
 	}
+	o, price := n+k, p.OverflowPrice()
+	g.SetSupply(o, -total)
+	overIDs := make([]flow.ArcID, k)
+	for j := range overIDs {
+		overIDs[j] = g.AddArc(n+j, o, flow.Inf, price)
+	}
 	cost, err := g.Solve()
 	if err != nil {
 		var inf *flow.ErrInfeasible
@@ -160,7 +211,11 @@ func SolveReference(p *Problem) (*Solution, error) {
 		}
 		return nil, err
 	}
-	sol := &Solution{Assign: make([][]Portion, n), Cost: cost}
+	sol := &Solution{Assign: make([][]Portion, n), Overflow: make([]float64, k)}
+	for j, id := range overIDs {
+		sol.Overflow[j] = g.Flow(id)
+	}
+	sol.Cost = cost - price*sol.TotalOverflow()
 	for i, arcs := range p.Arcs {
 		for t, a := range arcs {
 			f := g.Flow(ids[i][t])
@@ -188,7 +243,7 @@ func sortPortions(ps []Portion) {
 // numerical tolerance).
 //
 // Fallback chain: when the condensed engine fails for any reason other
-// than a genuine infeasibility certificate or a context abort — an
+// than a source without an admissible sink or a context abort — an
 // internal defect such as a degenerate augmentation or an injected fault —
 // Solve retries the instance on the reference successive-shortest-path
 // engine. The fallback is recorded on p.Degrade (and as an obs counter via
@@ -205,16 +260,17 @@ func Solve(p *Problem) (*Solution, error) {
 		p.Obs.Count("transport.augments", float64(augments))
 		if err == nil {
 			p.Obs.Count("transport.splits", float64(sol.NumSplit()))
+			p.Obs.Count("transport.overflow", sol.TotalOverflow())
 		}
 	}
 	return sol, err
 }
 
 // fallbackWorthy reports whether a condensed-engine error justifies the
-// reference-engine retry. Infeasibility is a property of the instance (the
-// reference engine would reproduce it at higher cost), and context aborts
-// are caller decisions; everything else is an engine failure worth a
-// second opinion.
+// reference-engine retry. A source without an admissible sink is a
+// property of the instance (the reference engine would reproduce it), and
+// context aborts are caller decisions; everything else is an engine
+// failure worth a second opinion.
 func fallbackWorthy(err error) bool {
 	return !errors.Is(err, ErrInfeasible) &&
 		!errors.Is(err, context.Canceled) &&
@@ -304,6 +360,8 @@ type condensed struct {
 	at     [][]presence
 	slot   []int32 // slot[j*n+i] indexes source i in at[j], -1 = absent
 	load   []float64
+	over   []float64  // overflow booked per sink
+	price  float64    // weight of the overflow edge sink -> T
 	heaps  []pairHeap // heaps[a*k+b]
 	stamps uint32
 	pi     []float64 // sink potentials; pi[k] is the super-sink's
@@ -397,6 +455,8 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		at:     make([][]presence, k),
 		slot:   make([]int32, n*k),
 		load:   make([]float64, k),
+		over:   make([]float64, k),
+		price:  p.OverflowPrice(),
 		heaps:  make([]pairHeap, k*k),
 		pi:     make([]float64, k+1),
 		dist:   make([]float64, k+1),
@@ -430,7 +490,8 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		c.load[best] += p.Supply[i]
 	}
 	// Cancel overloads along shortest paths from an overloaded sink to the
-	// super-sink, which every sink with slack reaches.
+	// super-sink, which every sink reaches: at weight 0 with slack, through
+	// its overflow edge otherwise.
 	augments := 0
 	for ; ; augments++ {
 		if p.Ctx != nil {
@@ -440,7 +501,7 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		}
 		over := -1
 		for j := 0; j < k; j++ {
-			if c.load[j] > p.Capacity[j]+flow.Eps {
+			if c.load[j] > p.Capacity[j]+c.over[j]+flow.Eps {
 				over = j
 				break
 			}
@@ -452,8 +513,13 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		if err != nil {
 			return nil, augments, err
 		}
-		if target < 0 {
-			return nil, augments, fmt.Errorf("transport: %w", ErrInfeasible)
+		// An overflow edge leaves target: the move is not capped by its
+		// slack, and whatever target then holds beyond capacity is booked
+		// as overflow. Leaving over itself, it books the excess at once.
+		overflow := c.via[k].w > 0
+		if overflow && target == over {
+			c.over[over] = c.load[over] - p.Capacity[over]
+			continue
 		}
 		path := c.path[:0] // sink sequence from over to target
 		for j := target; j != over; j = c.via[j].from {
@@ -471,7 +537,10 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 		// popped from their pair heaps in rounds of doubling size, starting
 		// at 1/1024 of the amount to move, so no group holds much more than
 		// the path's bottleneck amount; the surplus goes back to the heap.
-		move := math.Min(c.load[over]-p.Capacity[over], p.Capacity[target]-c.load[target])
+		move := c.load[over] - p.Capacity[over] - c.over[over]
+		if !overflow {
+			move = math.Min(move, p.Capacity[target]-c.load[target])
+		}
 		for len(c.groups) < len(path)-1 {
 			c.groups = append(c.groups, tiedGroup{})
 		}
@@ -518,9 +587,12 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 			c.load[a] -= move
 			c.load[b] += move
 		}
+		if overflow {
+			c.over[target] = c.load[target] - p.Capacity[target]
+		}
 	}
 	// Extract solution.
-	sol := &Solution{Assign: make([][]Portion, n)}
+	sol := &Solution{Assign: make([][]Portion, n), Overflow: c.over}
 	for j := 0; j < k; j++ {
 		for _, pr := range c.at[j] {
 			sol.Assign[pr.source] = append(sol.Assign[pr.source], Portion{Sink: j, Amount: pr.amount})
@@ -536,9 +608,9 @@ func solveCondensed(p *Problem) (*Solution, int, error) {
 // dijkstra runs a dense Dijkstra over the k-sink condensed graph plus the
 // super-sink T = k, from the overloaded sink over, on weights reduced by the
 // sink potentials. Edge a->b weighs the cheapest reassignment of a source
-// at a to b; every sink with slack reaches T at weight 0. It stops when T
-// settles, sets pi += min(d, d_T), and returns the slack sink T is reached
-// from (-1 when T is unreachable: the instance is infeasible).
+// at a to b; a sink with slack reaches T at weight 0, any other at the
+// overflow price. It stops when T settles, sets pi += min(d, d_T), and
+// returns the sink T is reached from; via[T].w tells which edge it took.
 func (c *condensed) dijkstra(over int, capacity []float64) (int, error) {
 	k := c.k
 	for j := 0; j <= k; j++ {
@@ -552,16 +624,15 @@ func (c *condensed) dijkstra(over int, capacity []float64) (int, error) {
 				u = j
 			}
 		}
-		if math.IsInf(c.dist[u], 1) {
-			return -1, nil
-		}
 		if c.done[u] = true; u == k {
 			break
 		}
+		w := c.price
 		if c.load[u] < capacity[u]-flow.Eps {
-			if err := c.relax(u, k, 0); err != nil {
-				return -1, err
-			}
+			w = 0
+		}
+		if err := c.relax(u, k, w); err != nil {
+			return -1, err
 		}
 		for b := 0; b < k; b++ {
 			if c.done[b] {

@@ -85,15 +85,22 @@ func TestSolveRespectsAdmissibility(t *testing.T) {
 	}
 }
 
-func TestSolveInfeasibleDetected(t *testing.T) {
+func TestSolveOverflowPriced(t *testing.T) {
 	p := &Problem{
 		Supply:   []float64{5},
 		Capacity: []float64{2, 100},
 		Arcs:     [][]Arc{{{Sink: 0, Cost: 1}}}, // big sink inadmissible
 	}
 	for name, solve := range engines() {
-		if _, err := solve(p); !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("%s: err = %v, want ErrInfeasible", name, err)
+		sol, err := solve(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if math.Abs(sol.Overflow[0]-3) > 1e-9 || sol.Overflow[1] != 0 {
+			t.Fatalf("%s: overflow = %v, want [3 0]", name, sol.Overflow)
+		}
+		if math.Abs(sol.Cost-5) > 1e-9 {
+			t.Fatalf("%s: cost = %v, want 5 (movement only)", name, sol.Cost)
 		}
 	}
 }
@@ -247,19 +254,43 @@ func placementProblem(rng *rand.Rand, n, k int) *Problem {
 	return p
 }
 
-// PlacementProblem exports the generator to the external tests of this
-// package.
-var PlacementProblem = placementProblem
+// overloaded scales the capacities of p so that its total supply exceeds
+// its total capacity by 0.1-10%.
+func overloaded(rng *rand.Rand, p *Problem) *Problem {
+	supply, capacity := 0.0, 0.0
+	for _, s := range p.Supply {
+		supply += s
+	}
+	for _, c := range p.Capacity {
+		capacity += c
+	}
+	scale := supply / (1.001 + 0.099*rng.Float64()) / capacity
+	for j := range p.Capacity {
+		p.Capacity[j] *= scale
+	}
+	return p
+}
+
+// PlacementProblem and Overloaded export the generators to the external
+// tests of this package.
+var (
+	PlacementProblem = placementProblem
+	Overloaded       = overloaded
+)
 
 // Property: the condensed engine matches the reference engine's optimal
-// cost without falling back to it, and agrees with it on feasibility, on
-// small random instances and on placement-shaped ones up to n = 2k cells
-// and k = 80 sinks.
+// overflow and cost without falling back to it, on small random instances
+// and on placement-shaped ones up to n = 2k cells and k = 80 sinks, with
+// and without total supply 0.1-10% over total capacity, and on one
+// overloaded instance of the 5k x 160 Table-I shape.
 func TestCondensedMatchesReference(t *testing.T) {
 	placement := func(minN, maxN, minK, maxK int) func(*rand.Rand) *Problem {
 		return func(rng *rand.Rand) *Problem {
 			return placementProblem(rng, minN+rng.Intn(maxN-minN+1), minK+rng.Intn(maxK-minK+1))
 		}
+	}
+	over := func(gen func(*rand.Rand) *Problem) func(*rand.Rand) *Problem {
+		return func(rng *rand.Rand) *Problem { return overloaded(rng, gen(rng)) }
 	}
 	for _, tc := range []struct {
 		name  string
@@ -269,6 +300,10 @@ func TestCondensedMatchesReference(t *testing.T) {
 		{"random", randomProblem, 200},
 		{"placement", placement(100, 999, 4, 32), 60},
 		{"placement-large", placement(1000, 2000, 40, 80), 3},
+		{"random-overloaded", over(randomProblem), 200},
+		{"placement-overloaded", over(placement(100, 999, 4, 32)), 60},
+		{"placement-large-overloaded", over(placement(1000, 2000, 40, 80)), 3},
+		{"table1-overloaded", over(placement(5000, 5000, 160, 160)), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := func(seed int64) bool {
@@ -281,9 +316,12 @@ func TestCondensedMatchesReference(t *testing.T) {
 					return false
 				}
 				if err1 != nil || err2 != nil {
-					return err1 != nil && err2 != nil // both must agree on feasibility
+					t.Logf("seed %d: reference %v, condensed %v", seed, err1, err2)
+					return false
 				}
-				return math.Abs(ref.Cost-got.Cost) < 1e-6*(1+math.Abs(ref.Cost))
+				refOver, gotOver := ref.TotalOverflow(), got.TotalOverflow()
+				return math.Abs(refOver-gotOver) < 1e-6*(1+refOver) &&
+					math.Abs(ref.Cost-got.Cost) < 1e-6*(1+math.Abs(ref.Cost))
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: tc.count}); err != nil {
 				t.Fatal(err)
